@@ -4,15 +4,13 @@ Implements Eq. (1): a block is *accessed* by query ``q`` iff its metadata
 intersects ``q``; the workload's logical cost is the sum of accessed block
 sizes over all queries. ``C(P)`` (tuples skipped) is the complement.
 
-Two evaluation modes:
-
-* :func:`evaluate_layout` — the uniform Table-2 scorer: given the row→BID
-  assignment of *any* partitioner, recompute per-block stats (min-max +
-  categorical masks + AC bits) from the actual rows and score the workload.
-  Used identically for the random/range baselines, Bottom-Up, Greedy and
+* :func:`per_query_accessed` — the one block × query scorer: given the
+  row→BID assignment of *any* partitioner, recompute per-block stats
+  (min-max + categorical masks + AC bits, :func:`~.qdtree.block_stats`)
+  from the actual rows and count each query's accessed tuples.
+* :func:`evaluate_layout` — the uniform Table-2 scorer built on it, used
+  identically for the random/range baselines, Bottom-Up, Greedy and
   WOODBLOCK so comparisons are apples-to-apples.
-* :func:`access_fraction_descs` — score pre-computed descriptions (used
-  during construction, where descriptions come from cut restriction).
 """
 from __future__ import annotations
 
@@ -22,8 +20,8 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
-from .predicates import Node
-from .qdtree import block_description
+from .predicates import Node, eval_mask
+from .qdtree import block_stats
 from .schema import TableSchema
 
 
@@ -50,16 +48,20 @@ class LayoutMetrics:
         return self.tuples_selected / (self.n_rows * self.n_queries)
 
 
-def access_fraction_descs(
-    descs_sizes: Sequence[tuple], workload: Sequence[Node], n_rows: int
-) -> float:
-    """Accessed fraction from (description, size) pairs."""
-    accessed = 0
-    for desc, size in descs_sizes:
-        for q in workload:
-            if desc.may_intersect(q):
-                accessed += size
-    return accessed / (n_rows * len(workload))
+def per_query_accessed(
+    encoded: pd.DataFrame,
+    bids: np.ndarray,
+    schema: TableSchema,
+    workload: Sequence[Node],
+    acs: dict | None = None,
+) -> np.ndarray:
+    """Tuples accessed by each query individually under a layout."""
+    uniq, inv = np.unique(bids, return_inverse=True)
+    descs, sizes = block_stats(encoded, inv, schema, acs or {}, len(uniq))
+    return np.array(
+        [sum(int(s) for d, s in zip(descs, sizes) if d.may_intersect(q)) for q in workload],
+        dtype=np.int64,
+    )
 
 
 def evaluate_layout(
@@ -70,23 +72,12 @@ def evaluate_layout(
     acs: dict | None = None,
 ) -> LayoutMetrics:
     """Uniform block-stats scoring of a row→BID assignment (Table 2)."""
-    from .predicates import eval_mask
-
-    acs = acs or {}
-    n = len(encoded)
-    uniq = np.unique(bids)
-    accessed = 0
-    for b in uniq:
-        rows = encoded.iloc[np.flatnonzero(bids == b)]
-        desc = block_description(rows, schema, acs)
-        for q in workload:
-            if desc.may_intersect(q):
-                accessed += len(rows)
+    accessed = per_query_accessed(encoded, bids, schema, workload, acs)
     selected = int(sum(eval_mask(q, encoded).sum() for q in workload))
     return LayoutMetrics(
-        n_rows=n,
+        n_rows=len(encoded),
         n_queries=len(workload),
-        n_blocks=len(uniq),
-        tuples_accessed=int(accessed),
+        n_blocks=len(np.unique(bids)),
+        tuples_accessed=int(accessed.sum()),
         tuples_selected=selected,
     )

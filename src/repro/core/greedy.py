@@ -62,6 +62,31 @@ class CutMatrix:
         return self.masks[:, idx].sum(axis=1)
 
 
+def split_active(
+    cut,
+    ld: Description,
+    rd: Description,
+    active: list[int],
+    workload: Sequence[QueryNode],
+    query_refs: list[frozenset],
+) -> tuple[list[int], list[int]]:
+    """Active queries of the left/right children ``ld``/``rd`` of ``cut``:
+    each active query referencing the cut's column is re-checked against
+    both child descriptions; the others pass to both children."""
+    key = _cut_key(cut)
+    a_left, a_right = [], []
+    for qi in active:
+        if key in query_refs[qi]:
+            if ld.may_intersect(workload[qi]):
+                a_left.append(qi)
+            if rd.may_intersect(workload[qi]):
+                a_right.append(qi)
+        else:  # restriction along an unreferenced column cannot deactivate
+            a_left.append(qi)
+            a_right.append(qi)
+    return a_left, a_right
+
+
 def _split_gain(
     node_desc: Description,
     cut,
@@ -75,19 +100,10 @@ def _split_gain(
 
     gain = Δ skipped tuples = |L|·(|W|−|A_L|) + |R|·(|W|−|A_R|) − (|L|+|R|)·(|W|−|A|).
     """
-    key = _cut_key(cut)
-    ld = node_desc.restrict(cut, True)
-    rd = node_desc.restrict(cut, False)
-    a_left, a_right = [], []
-    for qi in active:
-        if key in query_refs[qi]:
-            if ld.may_intersect(workload[qi]):
-                a_left.append(qi)
-            if rd.may_intersect(workload[qi]):
-                a_right.append(qi)
-        else:  # restriction along an unreferenced column cannot deactivate
-            a_left.append(qi)
-            a_right.append(qi)
+    a_left, a_right = split_active(
+        cut, node_desc.restrict(cut, True), node_desc.restrict(cut, False),
+        active, workload, query_refs,
+    )
     w = len(workload)
     gain = (
         nl * (w - len(a_left))

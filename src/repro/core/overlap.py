@@ -30,7 +30,7 @@ import pandas as pd
 
 from .description import Description, Interval
 from .predicates import AdvPred, And, Node, Or, Pred
-from .qdtree import QdTree
+from .qdtree import QdTree, block_stats
 from .schema import CATEGORICAL, TableSchema
 
 
@@ -214,8 +214,6 @@ def build_overlap_layout(
     """Replicate each small (< b) leaf of a relaxed-construction tree into
     every neighbor large leaf, enlarging the neighbors' regions (Sec 6.2).
     Min-max stats are then recomputed from each block's final rows."""
-    from .qdtree import block_description
-
     bids = tree.route(encoded)
     blocks = [
         OverlapBlock(
@@ -233,8 +231,12 @@ def build_overlap_layout(
                 g.region = _merge_along(g.region, s.region)
                 g.rows = np.concatenate([g.rows, s.rows])
                 extra += s.size
-    for blk in blocks:  # tighten skipping stats from the final contents
-        blk.stats = block_description(
-            encoded.iloc[blk.rows], tree.schema, acs or {}
-        )
+    # tighten skipping stats from the final contents, copies included
+    stats, _ = block_stats(
+        encoded.iloc[np.concatenate([blk.rows for blk in blocks])],
+        np.repeat(np.arange(len(blocks)), [blk.size for blk in blocks]),
+        tree.schema, acs or {}, len(blocks),
+    )
+    for blk, desc in zip(blocks, stats):
+        blk.stats = desc
     return OverlapLayout(blocks=blocks, n_rows=len(encoded), extra_rows=extra)

@@ -158,11 +158,11 @@ class QdTree:
         actually present, and sets AC bits from the data. ``acs`` maps AC
         name -> its (positive) AdvPred so bits can be evaluated.
         """
-        bids = self.route(encoded)
-        for lf in self.leaves:
-            rows = encoded.iloc[np.flatnonzero(bids == lf.bid)]
-            lf.n_rows = len(rows)
-            lf.desc = block_description(rows, self.schema, acs or {}, like=lf.desc)
+        descs, sizes = block_stats(
+            encoded, self.route(encoded), self.schema, acs or {}, self.n_leaves
+        )
+        for lf, desc, size in zip(self.leaves, descs, sizes):
+            lf.desc, lf.n_rows = desc, int(size)
 
     def leaf_sizes(self, encoded: pd.DataFrame) -> np.ndarray:
         bids = self.route(encoded)
@@ -170,16 +170,12 @@ class QdTree:
 
 
 def block_description(
-    rows: pd.DataFrame,
-    schema: TableSchema,
-    acs: dict[str, QueryNode],
-    like: Description | None = None,
+    rows: pd.DataFrame, schema: TableSchema, acs: dict[str, QueryNode]
 ) -> Description:
-    """Min-max + dictionary-mask + AC-bit description of a block's rows.
+    """Min-max + dictionary-mask + AC-bit description of one block's rows.
 
-    This is the uniform block-stats metadata (what a Parquet/zone-map engine
-    keeps) used to score *every* layout in Table 2. An empty block yields an
-    empty description (prunes everything).
+    The per-block reference that tests check :func:`block_stats` against.
+    An empty block yields an empty description (prunes everything).
     """
     ranges: dict[str, Interval] = {}
     masks: dict[str, np.ndarray] = {}
@@ -204,3 +200,56 @@ def block_description(
             m = eval_mask(pred, rows)
             ac_bits[ac_name] = (bool(m.any()), bool((~m).any()))
     return Description(ranges, masks, ac_bits)
+
+
+def block_stats(
+    encoded: pd.DataFrame,
+    bids: np.ndarray,
+    schema: TableSchema,
+    acs: dict[str, QueryNode],
+    n_blocks: int,
+) -> tuple[list[Description], np.ndarray]:
+    """Descriptions and row counts of blocks ``0..n_blocks-1`` in one pass.
+
+    This is the uniform block-stats metadata (what a Parquet/zone-map engine
+    keeps) used to score *every* layout in Table 2 and to freeze leaves:
+    per block, the min-max range of each numeric column, the mask of the
+    categorical codes present and the AC bits of its rows. Block ``b`` gets
+    exactly ``block_description(encoded[bids == b], ...)``; a block with no
+    rows gets the empty description.
+    """
+    bids = np.asarray(bids)
+    sizes = np.bincount(bids, minlength=n_blocks)
+    order = np.argsort(bids, kind="stable")
+    present = np.flatnonzero(sizes)
+    # reduceat over empty segments would return a neighbour's value
+    starts = (np.cumsum(sizes) - sizes)[present]
+    ranges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    masks: dict[str, np.ndarray] = {}
+    for name, spec in schema.columns.items():
+        col = encoded[name].to_numpy()
+        if spec.kind == CATEGORICAL:
+            masks[name] = np.zeros((n_blocks, spec.cardinality), dtype=bool)
+            masks[name][bids, col.astype(int)] = True
+        else:
+            col = col[order]
+            lo, hi = np.full(n_blocks, 1.0), np.full(n_blocks, 0.0)  # empty
+            lo[present] = np.minimum.reduceat(col, starts)
+            hi[present] = np.maximum.reduceat(col, starts)
+            ranges[name] = (lo, hi)
+    ac_bits = {}
+    for ac_name, pred in acs.items():
+        m = eval_mask(pred, encoded)
+        ac_bits[ac_name] = (
+            np.bincount(bids[m], minlength=n_blocks) > 0,
+            np.bincount(bids[~m], minlength=n_blocks) > 0,
+        )
+    descs = [
+        Description(
+            {c: Interval(float(lo[b]), float(hi[b])) for c, (lo, hi) in ranges.items()},
+            {c: m[b] for c, m in masks.items()},
+            {a: (bool(t[b]), bool(f[b])) for a, (t, f) in ac_bits.items()},
+        )
+        for b in range(n_blocks)
+    ]
+    return descs, sizes

@@ -24,32 +24,10 @@ from typing import Callable, Sequence
 import numpy as np
 import pandas as pd
 
-from .cost import LayoutMetrics
+from .cost import per_query_accessed
 from .predicates import Node
-from .qdtree import QdTree, block_description
+from .qdtree import QdTree
 from .schema import TableSchema
-
-
-def per_query_accessed(
-    encoded: pd.DataFrame,
-    bids: np.ndarray,
-    schema: TableSchema,
-    workload: Sequence[Node],
-    acs: dict | None = None,
-) -> np.ndarray:
-    """Tuples accessed by each query individually under a layout."""
-    acs = acs or {}
-    uniq = np.unique(bids)
-    descs = []
-    sizes = []
-    for b in uniq:
-        rows = encoded.iloc[np.flatnonzero(bids == b)]
-        descs.append(block_description(rows, schema, acs))
-        sizes.append(len(rows))
-    out = np.zeros(len(workload), dtype=np.int64)
-    for qi, q in enumerate(workload):
-        out[qi] = sum(s for d, s in zip(descs, sizes) if d.may_intersect(q))
-    return out
 
 
 @dataclass

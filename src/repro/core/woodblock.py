@@ -28,7 +28,7 @@ import pandas as pd
 from ..rl.mlp import PolicyValueNet
 from ..rl.ppo import Batch, PPOTrainer
 from .description import Description
-from .greedy import CutMatrix, _cut_key
+from .greedy import CutMatrix, split_active
 from .predicates import Node as QueryNode
 from .predicates import referenced_columns
 from .qdtree import QdTree, TreeNode
@@ -88,7 +88,6 @@ class WoodblockConfig:
     batch_episodes: int = 4  # episodes per PPO update
     max_leaves: int = 4096  # safety cap on tree size per episode
     seed: int = 0
-    final_greedy_rollout: bool = True  # deterministic argmax tree at the end
 
 
 @dataclass
@@ -145,17 +144,9 @@ def _episode(
             ci = int(a[0])
         left, right = node.split(cm.cuts[ci])
         m = cm.masks[ci, idx]
-        key = _cut_key(cm.cuts[ci])
-        a_l, a_r = [], []
-        for qi in active:
-            if key in query_refs[qi]:
-                if left.desc.may_intersect(workload[qi]):
-                    a_l.append(qi)
-                if right.desc.may_intersect(workload[qi]):
-                    a_r.append(qi)
-            else:
-                a_l.append(qi)
-                a_r.append(qi)
+        a_l, a_r = split_active(
+            cm.cuts[ci], left.desc, right.desc, active, workload, query_refs
+        )
         queue.append((left, idx[m], a_l))
         queue.append((right, idx[~m], a_r))
         transitions.append((obs, ci, legal, float(logp[0]), float(value[0]), node))
@@ -242,18 +233,16 @@ def woodblock_qdtree(
             trainer.update(batch)
             pend = []
 
-    if cfg.final_greedy_rollout and best_root is not None:
-        # deterministic deployment rollout: the argmax-policy tree is a
-        # strong candidate once the policy has concentrated
-        root, _, _, frac = _episode(
-            trainer, feat, cm, schema, workload, query_refs,
-            n, b_sample, cfg.max_leaves, tuple(ac_names), deterministic=True,
-        )
-        if frac < best_frac:
-            best_frac, best_root = frac, root
-        history.append((cfg.episodes, frac, best_frac))
+    # deterministic deployment rollout: the argmax-policy tree is a strong
+    # candidate once the policy has concentrated
+    root, _, _, frac = _episode(
+        trainer, feat, cm, schema, workload, query_refs,
+        n, b_sample, cfg.max_leaves, tuple(ac_names), deterministic=True,
+    )
+    if frac < best_frac:
+        best_frac, best_root = frac, root
+    history.append((cfg.episodes, frac, best_frac))
 
-    assert best_root is not None, "no episodes ran"
     return WoodblockResult(
         tree=QdTree.build(best_root, schema), best_fraction=best_frac, history=history
     )

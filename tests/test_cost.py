@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cost import LayoutMetrics, access_fraction_descs, evaluate_layout
+from repro.core.cost import LayoutMetrics, evaluate_layout
 from repro.core.predicates import AdvPred, And, Pred, eval_mask
 from repro.core.qdtree import block_description
 from repro.core.schema import infer_schema
@@ -94,12 +94,6 @@ def test_metrics_arithmetic():
     assert m.access_fraction == 120 / 400
     assert m.skipped == 280
     assert m.selectivity == 30 / 400
-
-
-def test_access_fraction_descs(setup):
-    enc, sch, W = setup
-    descs = [(block_description(enc, sch, {}), len(enc))]
-    assert access_fraction_descs(descs, W, len(enc)) == 1.0
 
 
 def test_adv_cut_in_cost(setup):

@@ -4,7 +4,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cost import evaluate_layout
+from repro.core.cost import evaluate_layout, per_query_accessed
 from repro.core.cuts import extract_cuts
 from repro.core.description import Description, Interval
 from repro.core.greedy import greedy_qdtree
@@ -16,7 +16,7 @@ from repro.core.overlap import (
 )
 from repro.core.predicates import And, Or, Pred
 from repro.core.schema import infer_schema
-from repro.core.twotree import per_query_accessed, two_tree_layout
+from repro.core.twotree import two_tree_layout
 from repro.workloads import asts
 
 

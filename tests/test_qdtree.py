@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core.cost import evaluate_layout
-from repro.core.description import Description
+from repro.core.description import Description, Interval
 from repro.core.predicates import And, Pred, eval_mask
-from repro.core.qdtree import QdTree, TreeNode, block_description
+from repro.core.qdtree import QdTree, TreeNode, block_description, block_stats
 from repro.core.schema import infer_schema
 from repro.workloads import asts
 
@@ -123,6 +123,43 @@ def test_block_description_empty_block(tiny2d_module):
     d = block_description(enc.iloc[0:0], sch, {})
     assert d.is_empty()
     assert not d.may_intersect(Pred("cpu", "<", 100.0))
+
+
+def test_block_stats_matches_block_description(tpch_bundle, tpch_tree):
+    """The one-pass stats equal the per-block reference, empty blocks too."""
+    enc, sch, acs = tpch_bundle.encoded, tpch_bundle.schema, tpch_bundle.acs
+    assert acs
+    bids = tpch_tree.route(enc)
+    n_blocks = tpch_tree.n_leaves + 2  # the last two ids hold no rows
+    descs, sizes = block_stats(enc, bids, sch, acs, n_blocks)
+    assert len(descs) == n_blocks
+    assert (sizes == np.bincount(bids, minlength=n_blocks)).all()
+    for b, desc in enumerate(descs):
+        ref = block_description(enc.iloc[np.flatnonzero(bids == b)], sch, acs)
+        assert desc.ranges == ref.ranges
+        assert desc.acs == ref.acs
+        assert desc.masks.keys() == ref.masks.keys()
+        for col, m in ref.masks.items():
+            assert np.array_equal(desc.masks[col], m), (b, col)
+    assert descs[-1].is_empty() and sizes[-1] == 0
+
+
+def test_freeze_leaf_without_rows(tiny2d_module):
+    """A leaf no frozen row reaches gets the empty description."""
+    _, sch, enc = tiny2d_module
+    root = TreeNode(Description.root(sch))
+    l, _ = root.split(Pred("cpu", "<", 50.0))
+    l.split(Pred("disk", "<", 0.5))
+    tree = QdTree.build(root, sch)
+    tree.freeze(enc[enc["cpu"] >= 50.0])  # misses leaves 0 and 1
+    assert [lf.n_rows for lf in tree.leaves[:2]] == [0, 0]
+    assert tree.leaves[2].n_rows == int((enc["cpu"] >= 50.0).sum())
+    for lf in tree.leaves[:2]:
+        assert lf.desc.ranges == {c: Interval(1.0, 0.0) for c in ("cpu", "disk")}
+        assert lf.desc.is_empty()
+    for q in [Pred("cpu", "<", 100.0), Pred("disk", ">=", 0.0),
+              And([Pred("cpu", ">", 60.0), Pred("disk", "<", 0.1)])]:
+        assert tree.query_bids(q) == [2]
 
 
 def test_split_guard(manual_tree):

@@ -91,6 +91,38 @@ def test_min_block_size_all_approaches(tpch_bundle, tpch_results):
         assert (sizes >= tpch_bundle.b).all(), name
 
 
+# (tuples_accessed, n_blocks) per approach at _CFG and sample_frac=1.0. Any
+# refactor of scoring or construction must leave these bit-identical.
+_PINNED = {
+    "tpch": {
+        "baseline": (348720, 200), "bottom-up": (260722, 27),
+        "bottom-up+": (264071, 11), "greedy": (127162, 129),
+        "woodblock": (148293, 138),
+    },
+    "errlog-int": {
+        "baseline": (95680, 150), "bottom-up": (135600, 2),
+        "bottom-up+": (7623, 16), "greedy": (1932, 33), "woodblock": (2727, 85),
+    },
+    "errlog-ext": {
+        "baseline": (50600, 150), "bottom-up": (150000, 1),
+        "bottom-up+": (32846, 7), "greedy": (2946, 51), "woodblock": (2674, 95),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, results",
+    [("tpch", "tpch_results"), ("errlog-int", "int_results"),
+     ("errlog-ext", "ext_results")],
+)
+def test_table2_pinned(name, results, request):
+    rows = request.getfixturevalue(results)
+    got = {
+        k: (r.metrics.tuples_accessed, r.metrics.n_blocks) for k, r in rows.items()
+    }
+    assert got == _PINNED[name]
+
+
 def test_format_table_mentions_all(tpch_results):
     s = format_table({"tpch": tpch_results})
     assert "tpch" in s and "woodblock" in s and "%" in s
