@@ -7,36 +7,21 @@ appearance) so construction is reproducible across runs.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .predicates import AdvPred, Node, Pred, iter_adv_preds, iter_unary_preds
+from .predicates import AdvPred, Node, Pred, atoms
 
 
-def extract_cuts(
-    workload: Sequence[Node], advanced: bool = True
-) -> list[Pred | AdvPred]:
-    """All distinct unary predicates (and ACs) appearing in ``workload``."""
-    seen: set = set()
-    out: list[Pred | AdvPred] = []
+def extract_cuts(workload: Sequence[Node]) -> list[Pred | AdvPred]:
+    """All distinct unary predicates and (positive) ACs in ``workload``.
+
+    Per query, unary cuts come first and ACs second: cut order sets
+    Greedy's tie-break.
+    """
+    out: dict = {}  # insertion-ordered set
     for q in workload:
-        for p in iter_unary_preds(q):
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        if advanced:
-            for a in iter_adv_preds(q):
-                pos = a.negate() if a.negated else a
-                if pos not in seen:
-                    seen.add(pos)
-                    out.append(pos)
-    return out
-
-
-def ac_map(workload: Sequence[Node]) -> dict[str, AdvPred]:
-    """AC name -> positive AdvPred, for every advanced cut in the workload."""
-    out: dict[str, AdvPred] = {}
-    for q in workload:
-        for a in iter_adv_preds(q):
-            pos = a.negate() if a.negated else a
-            out.setdefault(pos.name, pos)
-    return out
+        for a in sorted(atoms(q), key=lambda a: isinstance(a, AdvPred)):
+            if isinstance(a, AdvPred) and a.negated:
+                a = a.negate()
+            out.setdefault(a, None)
+    return list(out)

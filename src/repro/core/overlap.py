@@ -22,7 +22,7 @@ cost, which for Fig-4-style workloads is near zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ import pandas as pd
 from .description import Description, Interval
 from .predicates import AdvPred, And, Node, Or, Pred
 from .qdtree import QdTree, block_stats
-from .schema import CATEGORICAL, TableSchema
+from .schema import TableSchema
 
 
 # --------------------------------------------------------------- coverage
@@ -40,56 +40,30 @@ def covers(desc: Description, q: Node, schema: TableSchema) -> bool:
 
     Conservative: may return False for a covering block (we then scan a
     few redundant blocks — correct, just less efficient), never True for
-    a non-covering one. Handles conjunctions of unary predicates exactly;
-    an OR covers iff every disjunct is covered; advanced cuts require the
-    description side to be unrestricted or implied by the query.
+    a non-covering one. A conjunction of leaf predicates is handled exactly:
+    its region is the root description restricted by each conjunct, and it
+    is covered iff that region is empty (the query selects nothing) or lies
+    inside ``desc`` field by field. An OR covers iff every disjunct is
+    covered; a conjunction containing an OR never covers.
     """
     if isinstance(q, Or):
         return all(covers(desc, c, schema) for c in q.children)
     preds = _flatten_conjunction(q)
     if preds is None:
         return False
-    range_constraints: dict[str, Interval] = {}
-    cat_constraints: dict[str, np.ndarray] = {}
-    ac_constraints: dict[str, bool] = {}
+    region = Description.root(schema, tuple(desc.acs))
     for p in preds:
-        if isinstance(p, AdvPred):
-            name, val = p.name, not p.negated
-            if name in ac_constraints and ac_constraints[name] != val:
-                return True  # contradictory query selects nothing
-            ac_constraints[name] = val
-        elif p.op in ("=", "in"):
-            spec = schema[p.attr]
-            sel = np.zeros(spec.cardinality, dtype=bool)
-            vals = p.value if p.op == "in" else frozenset([p.value])
-            sel[[int(v) for v in vals]] = True
-            cat_constraints[p.attr] = (
-                cat_constraints[p.attr] & sel if p.attr in cat_constraints else sel
-            )
-        else:
-            iv = range_constraints.get(p.attr, _domain_interval(schema, p.attr))
-            range_constraints[p.attr] = iv.restrict(p.op, float(p.value), True)
-
-    for col, iv in desc.ranges.items():
-        qiv = range_constraints.get(col, _domain_interval(schema, col))
-        if not _interval_contains(iv, qiv):
-            return False
-    for col, mask in desc.masks.items():
-        qmask = cat_constraints.get(
-            col, np.ones(schema[col].cardinality, dtype=bool)
+        region = region.restrict(p, True)
+    if region.is_empty():
+        return True
+    return (
+        all(_interval_contains(iv, region.ranges[c]) for c, iv in desc.ranges.items())
+        and not any((region.masks[c] & ~m).any() for c, m in desc.masks.items())
+        and all(
+            (mt or not region.acs[a][0]) and (mf or not region.acs[a][1])
+            for a, (mt, mf) in desc.acs.items()
         )
-        if (qmask & ~mask).any():
-            return False
-    for name, (mt, mf) in desc.acs.items():
-        want = ac_constraints.get(name)
-        if want is None:
-            if not (mt and mf):
-                return False  # query unconstrained but block excludes a side
-        elif want and not mt:
-            return False
-        elif not want and not mf:
-            return False
-    return True
+    )
 
 
 def _flatten_conjunction(q: Node):
@@ -107,14 +81,7 @@ def _flatten_conjunction(q: Node):
     return None
 
 
-def _domain_interval(schema: TableSchema, col: str) -> Interval:
-    lo, hi = schema[col].domain
-    return Interval(float(lo), float(hi))
-
-
 def _interval_contains(outer: Interval, inner: Interval) -> bool:
-    if inner.is_empty():
-        return True
     if inner.lo < outer.lo or (inner.lo == outer.lo and outer.lo_open and not inner.lo_open):
         return False
     if inner.hi > outer.hi or (inner.hi == outer.hi and outer.hi_open and not inner.hi_open):

@@ -177,41 +177,26 @@ def to_spark_column(node: Node, schema: TableSchema):
 
 
 # -------------------------------------------------------------------- misc
-def referenced_columns(node: Node) -> frozenset:
-    """Column names (and AC names, prefixed ``ac:``) a query touches.
-
-    Used by the greedy active-query optimisation: a cut on column ``c`` can
-    only change a query's intersection status if the query references ``c``.
-    """
-    if isinstance(node, Pred):
-        return frozenset([node.attr])
-    if isinstance(node, AdvPred):
-        return frozenset([f"ac:{node.name}"])
-    if isinstance(node, (And, Or)):
-        out: frozenset = frozenset()
-        for c in node.children:
-            out |= referenced_columns(c)
-        return out
-    raise TypeError(f"unknown node {node!r}")
-
-
-def iter_unary_preds(node: Node):
-    """Yield every pushed-down unary :class:`Pred` in a query (Sec 3.4)."""
-    if isinstance(node, Pred):
+def atoms(node: Node):
+    """Yield the :class:`Pred`/:class:`AdvPred` leaves of ``node`` in order."""
+    if isinstance(node, (Pred, AdvPred)):
         yield node
-    elif isinstance(node, AdvPred):
-        return
     elif isinstance(node, (And, Or)):
         for c in node.children:
-            yield from iter_unary_preds(c)
+            yield from atoms(c)
     else:
         raise TypeError(f"unknown node {node!r}")
 
 
-def iter_adv_preds(node: Node):
-    """Yield every :class:`AdvPred` in a query."""
-    if isinstance(node, AdvPred):
-        yield node
-    elif isinstance(node, (And, Or)):
-        for c in node.children:
-            yield from iter_adv_preds(c)
+def column_key(atom: Pred | AdvPred) -> str:
+    """The column a leaf predicate constrains: ``attr``, or ``ac:<name>``."""
+    return atom.attr if isinstance(atom, Pred) else f"ac:{atom.name}"
+
+
+def referenced_columns(node: Node) -> frozenset:
+    """Column keys (:func:`column_key`) of every leaf predicate in a query.
+
+    Used by the active-query optimisation: a cut on column ``c`` can only
+    change a query's intersection status if the query references ``c``.
+    """
+    return frozenset(map(column_key, atoms(node)))

@@ -156,10 +156,15 @@ class QdTree:
         Replaces each leaf's range hypercube with the min-max index over its
         routed records, recomputes categorical masks from the distinct values
         actually present, and sets AC bits from the data. ``acs`` maps AC
-        name -> its (positive) AdvPred so bits can be evaluated.
+        name -> its (positive) AdvPred so bits can be evaluated; it must
+        name every AC the tree's descriptions track.
         """
+        acs = acs or {}
+        missing = sorted(set(self.root.desc.acs) - set(acs))
+        if missing:
+            raise ValueError(f"freeze needs the predicates of ACs {missing}")
         descs, sizes = block_stats(
-            encoded, self.route(encoded), self.schema, acs or {}, self.n_leaves
+            encoded, self.route(encoded), self.schema, acs, self.n_leaves
         )
         for lf, desc, size in zip(self.leaves, descs, sizes):
             lf.desc, lf.n_rows = desc, int(size)

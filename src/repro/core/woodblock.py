@@ -7,13 +7,17 @@ Tree-structured MDP exactly as the paper defines it:
   AC bits;
 * **action** — one of the candidate cuts; a cut is *legal* on a node iff
   both resulting children hold ≥ ``b_sample`` records of the construction
-  sample (Sec 5.2.1) — when no cut is legal the node becomes a leaf;
+  sample (Sec 5.2.1, :meth:`~repro.core.greedy.CutMatrix.legal`) — when no
+  cut is legal the node becomes a leaf;
 * **reward** — for every internal node ``n`` with chosen cut ``p``,
   ``R((n,p)) = S(n) / (|W|·|n.records|)`` where ``S(n)`` recursively sums
   the skipped-record counts of the leaves below ``n`` (Sec 5.2.2).
 
-Episodes repeatedly construct whole trees; PPO updates the shared
-policy/value net between (batches of) episodes; the best tree seen —
+Each episode builds a whole tree with :func:`repro.core.greedy.grow`, the
+construction loop Greedy also uses; WOODBLOCK only supplies the chooser,
+which samples the policy over the legal cuts and records the transition.
+PPO updates the shared policy/value net after every ``BATCH_EPISODES``
+episodes and after the last one; the best tree seen —
 measured by the sample's description-based access fraction — is deployed
 (paper: "the best tree found is deployed").
 """
@@ -28,9 +32,8 @@ import pandas as pd
 from ..rl.mlp import PolicyValueNet
 from ..rl.ppo import Batch, PPOTrainer
 from .description import Description
-from .greedy import CutMatrix, split_active
+from .greedy import CutMatrix, grow
 from .predicates import Node as QueryNode
-from .predicates import referenced_columns
 from .qdtree import QdTree, TreeNode
 from .schema import CATEGORICAL, TableSchema
 
@@ -73,19 +76,19 @@ class Featurizer:
         return out
 
 
+# PPO settings (paper defaults scaled down). The hidden width (128), clip
+# (0.2), value coefficient (0.5), epochs (4) and minibatch (128) are the
+# PolicyValueNet/PPOTrainer defaults.
+LR = 3e-3
+ENT_COEF = 0.02
+BATCH_EPISODES = 4  # episodes per PPO update
+
+
 @dataclass
 class WoodblockConfig:
-    """Training hyper-parameters (paper defaults scaled down)."""
+    """Training budget and seed."""
 
     episodes: int = 40
-    hidden: int = 128
-    lr: float = 3e-3
-    clip: float = 0.2
-    ent_coef: float = 0.02
-    vf_coef: float = 0.5
-    epochs: int = 4
-    minibatch: int = 128
-    batch_episodes: int = 4  # episodes per PPO update
     max_leaves: int = 4096  # safety cap on tree size per episode
     seed: int = 0
 
@@ -103,8 +106,6 @@ def _episode(
     cm: CutMatrix,
     schema: TableSchema,
     workload: Sequence[QueryNode],
-    query_refs: list,
-    n_rows: int,
     b_sample: int,
     max_leaves: int,
     ac_names: tuple[str, ...],
@@ -112,28 +113,14 @@ def _episode(
 ):
     """Build one tree from the current policy (sampled, or argmax when
     ``deterministic``); returns (root, transitions, rewards, access_fraction)."""
-    root = TreeNode(Description.root(schema, ac_names))
-    root_idx = np.arange(n_rows)
-    root_active = [
-        qi for qi in range(len(workload)) if root.desc.may_intersect(workload[qi])
-    ]
-    queue: list[tuple[TreeNode, np.ndarray, list[int]]] = [
-        (root, root_idx, root_active)
-    ]
     transitions = []  # (obs, action, legal, logp, value, node)
-    leaves = []  # (node, n_records, n_active)
-    n_leaves_final = 0
-    while queue:
-        node, idx, active = queue.pop(0)
-        node.n_rows = len(idx)
-        legal = np.zeros(len(cm.cuts), dtype=bool)
-        if n_leaves_final + len(queue) + 1 < max_leaves and len(idx) >= 2 * b_sample:
-            counts = cm.left_counts(idx)
-            legal = (counts >= b_sample) & (len(idx) - counts >= b_sample)
+
+    def choose(node: TreeNode, idx: np.ndarray, active: list[int], n_open: int):
+        if n_open >= max_leaves:
+            return None
+        legal, _ = cm.legal(idx, b_sample)
         if not legal.any():
-            leaves.append((node, len(idx), len(active)))
-            n_leaves_final += 1
-            continue
+            return None
         obs = feat(node.desc)
         if deterministic:
             logits, values, _ = trainer.net.forward(obs[None, :])
@@ -142,33 +129,21 @@ def _episode(
         else:
             a, logp, value = trainer.action_logp(obs[None, :], legal[None, :])
             ci = int(a[0])
-        left, right = node.split(cm.cuts[ci])
-        m = cm.masks[ci, idx]
-        a_l, a_r = split_active(
-            cm.cuts[ci], left.desc, right.desc, active, workload, query_refs
-        )
-        queue.append((left, idx[m], a_l))
-        queue.append((right, idx[~m], a_r))
         transitions.append((obs, ci, legal, float(logp[0]), float(value[0]), node))
+        return ci
 
+    root, leaves = grow(cm, schema, workload, ac_names, choose)
     w = len(workload)
-    accessed = sum(nrec * nact for _, nrec, nact in leaves)
-    fraction = accessed / (n_rows * w) if w else 0.0
+    accessed = sum(node.n_rows * nact for node, nact in leaves)
+    fraction = accessed / (root.n_rows * w) if w else 0.0
 
-    # S(n): skipped records below each node (Sec 5.2.2), bottom-up
-    skipped: dict[int, int] = {}
-    for node, nrec, nact in leaves:
-        skipped[id(node)] = nrec * (w - nact)
-
-    def s_of(node: TreeNode) -> int:
-        if id(node) in skipped:
-            return skipped[id(node)]
-        s = s_of(node.left) + s_of(node.right)
-        skipped[id(node)] = s
-        return s
-
+    # S(n): skipped records below each node (Sec 5.2.2), bottom-up; the
+    # transitions are in breadth-first order, so children come after parents
+    skipped = {id(node): node.n_rows * (w - nact) for node, nact in leaves}
+    for *_, node in reversed(transitions):
+        skipped[id(node)] = skipped[id(node.left)] + skipped[id(node.right)]
     rewards = [
-        s_of(node) / (w * node.n_rows) if w and node.n_rows else 0.0
+        skipped[id(node)] / (w * node.n_rows) if w and node.n_rows else 0.0
         for *_, node in transitions
     ]
     return root, transitions, rewards, fraction
@@ -192,27 +167,16 @@ def woodblock_qdtree(
     cfg = config or WoodblockConfig()
     cm = CutMatrix.build(cuts, encoded_sample)
     feat = Featurizer(schema, tuple(ac_names))
-    net = PolicyValueNet(feat.dim, len(cm.cuts), hidden=cfg.hidden, seed=cfg.seed)
-    trainer = PPOTrainer(
-        net,
-        lr=cfg.lr,
-        clip=cfg.clip,
-        vf_coef=cfg.vf_coef,
-        ent_coef=cfg.ent_coef,
-        epochs=cfg.epochs,
-        minibatch=cfg.minibatch,
-        seed=cfg.seed,
-    )
-    query_refs = [referenced_columns(q) for q in workload]
-    n = len(encoded_sample)
+    net = PolicyValueNet(feat.dim, len(cm.cuts), seed=cfg.seed)
+    trainer = PPOTrainer(net, lr=LR, ent_coef=ENT_COEF, seed=cfg.seed)
 
     best_root, best_frac = None, np.inf
     history = []
-    pend: list[tuple] = []  # accumulated transitions across batch_episodes
+    pend: list[tuple] = []  # transitions since the last PPO update
     for ep in range(cfg.episodes):
         root, transitions, rewards, frac = _episode(
-            trainer, feat, cm, schema, workload, query_refs,
-            n, b_sample, cfg.max_leaves, tuple(ac_names),
+            trainer, feat, cm, schema, workload,
+            b_sample, cfg.max_leaves, tuple(ac_names),
         )
         if frac < best_frac:
             best_frac, best_root = frac, root
@@ -221,7 +185,7 @@ def woodblock_qdtree(
             (obs, a, legal, logp, value, r)
             for (obs, a, legal, logp, value, _), r in zip(transitions, rewards)
         )
-        if (ep + 1) % cfg.batch_episodes == 0 and pend:
+        if ((ep + 1) % BATCH_EPISODES == 0 or ep == cfg.episodes - 1) and pend:
             batch = Batch(
                 obs=np.stack([t[0] for t in pend]),
                 actions=np.array([t[1] for t in pend], dtype=np.int64),
@@ -236,8 +200,8 @@ def woodblock_qdtree(
     # deterministic deployment rollout: the argmax-policy tree is a strong
     # candidate once the policy has concentrated
     root, _, _, frac = _episode(
-        trainer, feat, cm, schema, workload, query_refs,
-        n, b_sample, cfg.max_leaves, tuple(ac_names), deterministic=True,
+        trainer, feat, cm, schema, workload,
+        b_sample, cfg.max_leaves, tuple(ac_names), deterministic=True,
     )
     if frac < best_frac:
         best_frac, best_root = frac, root

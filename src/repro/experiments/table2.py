@@ -29,7 +29,7 @@ import pandas as pd
 from ..baselines.bottom_up import BottomUpConfig, bottom_up_partition
 from ..baselines.simple import random_partition, range_partition
 from ..core.cost import LayoutMetrics, evaluate_layout
-from ..core.cuts import ac_map, extract_cuts
+from ..core.cuts import extract_cuts
 from ..core.greedy import greedy_qdtree
 from ..core.qdtree import QdTree
 from ..core.schema import TableSchema

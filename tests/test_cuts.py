@@ -1,5 +1,5 @@
 """Candidate-cut extraction (Sec 3.4)."""
-from repro.core.cuts import ac_map, extract_cuts
+from repro.core.cuts import extract_cuts
 from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.workloads import asts
 
@@ -30,16 +30,11 @@ def test_advanced_cuts_extracted_positive():
     assert ac.negate() not in cuts
 
 
-def test_advanced_cuts_can_be_disabled():
+def test_unary_cuts_before_acs_per_query():
     ac = AdvPred("x", "a", "<", "b")
-    cuts = extract_cuts([And([ac, Pred("a", "<", 1)])], advanced=False)
-    assert cuts == [Pred("a", "<", 1)]
-
-
-def test_ac_map():
-    ac = AdvPred("x", "a", "<", "b")
-    m = ac_map([And([ac.negate(), Pred("a", "<", 1)]), ac])
-    assert m == {"x": ac}
+    p1, p2 = Pred("a", "<", 1), Pred("b", ">", 2)
+    cuts = extract_cuts([And([ac, p1]), Or([p2, ac.negate()])])
+    assert cuts == [p1, ac, p2]
 
 
 def test_tpch_cut_count_in_paper_range(tpch_bundle, tpch_cuts):

@@ -14,7 +14,7 @@ from repro.core.overlap import (
     build_overlap_layout,
     covers,
 )
-from repro.core.predicates import And, Or, Pred
+from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.schema import infer_schema
 from repro.core.twotree import two_tree_layout
 from repro.workloads import asts
@@ -196,6 +196,42 @@ def test_covers_or_needs_all_disjuncts(sch2d):
     assert not covers(blk, q, sch2d)
     full = _desc2d(0, 100, 0, 100, sch2d)
     assert covers(full, q, sch2d)
+
+
+@pytest.fixture(scope="module")
+def sch_cat():
+    pdf = pd.DataFrame({"x": [0.0, 100.0], "c": ["a", "d"]})
+    return infer_schema(pdf, categorical=["c"], domains={"x": (0.0, 100.0), "c": ("a", "b", "c", "d")})
+
+
+def test_covers_ac_bits(sch_cat):
+    ac = AdvPred("z", "x", "<", "x")
+    root = Description.root(sch_cat, ("z",))
+    only_true = root.restrict(ac, True)  # AC bits (True, False)
+    assert covers(root, ac, sch_cat)
+    assert covers(only_true, ac, sch_cat)
+    assert not covers(only_true, ac.negate(), sch_cat)
+    # a query that leaves the AC unconstrained needs both sides in the block
+    assert not covers(only_true, Pred("x", "<=", 50.0), sch_cat)
+    assert covers(root, Pred("x", "<=", 50.0), sch_cat)
+
+
+def test_covers_categorical_in(sch_cat):
+    blk = Description.root(sch_cat).restrict(Pred("c", "in", frozenset([0, 1])), True)
+    assert covers(blk, Pred("c", "in", frozenset([0, 1])), sch_cat)
+    assert covers(blk, Pred("c", "=", 1), sch_cat)
+    assert not covers(blk, Pred("c", "in", frozenset([1, 2])), sch_cat)
+    assert not covers(blk, Pred("x", "<=", 50.0), sch_cat)  # c unconstrained
+    # conjuncts on one column intersect: {0,1,2} ∩ {1,3} = {1}
+    q = And([Pred("c", "in", frozenset([0, 1, 2])), Pred("c", "in", frozenset([1, 3]))])
+    assert covers(blk, q, sch_cat)
+
+
+def test_covers_contradictory_range_conjunction(sch2d):
+    """A query that selects nothing is covered by any block."""
+    blk = _desc2d(0, 60, 0, 40, sch2d)
+    q = And([Pred("x", "<", 10.0), Pred("x", ">", 20.0)])
+    assert covers(blk, q, sch2d)
 
 
 # --------------------------------------------------------------- two-tree

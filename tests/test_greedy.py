@@ -107,3 +107,37 @@ def test_all_leaf_descriptions_disjoint_routing(tpch_bundle, tpch_tree):
     """Each row lands in exactly one leaf (binary splits are exhaustive)."""
     bids = tpch_tree.route(tpch_bundle.encoded)
     assert bids.min() >= 0 and bids.max() < tpch_tree.n_leaves
+
+
+def _x_below(n, *vs):
+    """Rows x = 0..n−1 and one cut ``x < v`` per ``v``."""
+    enc = pd.DataFrame({"x": np.arange(n, dtype=float)})
+    return CutMatrix.build([Pred("x", "<", float(v)) for v in vs], enc), np.arange(n)
+
+
+@pytest.mark.parametrize("n, want", [(19, False), (20, True)])
+def test_legal_strict_boundary(n, want):
+    cm, idx = _x_below(n, n // 2)  # b=10: n=2b−1 cannot give both children b rows
+    legal, counts = cm.legal(idx, 10)
+    assert legal.tolist() == [want]
+    if want:
+        assert counts.tolist() == [10]
+
+
+@pytest.mark.parametrize("n, want", [(10, False), (11, True)])
+def test_legal_relaxed_boundary(n, want):
+    cm, idx = _x_below(n, 1)  # a singleton left child
+    assert cm.legal(idx, 10, relaxed=True)[0].tolist() == [want]
+    assert not cm.legal(idx, 10)[0].any()
+
+
+def test_legal_relaxed_rejects_empty_child():
+    cm, idx = _x_below(30, 100, 1)
+    legal, counts = cm.legal(idx, 10, relaxed=True)
+    assert counts.tolist() == [30, 1]
+    assert legal.tolist() == [False, True]
+
+
+def test_leaf_n_rows_match_leaf_sizes(tpch_bundle, tpch_tree):
+    sizes = tpch_tree.leaf_sizes(tpch_bundle.encoded)
+    assert [lf.n_rows for lf in tpch_tree.leaves] == sizes.tolist()

@@ -12,8 +12,7 @@ from repro.core.predicates import (
     Or,
     Pred,
     eval_mask,
-    iter_adv_preds,
-    iter_unary_preds,
+    atoms,
     referenced_columns,
     to_sql,
 )
@@ -154,13 +153,20 @@ def test_referenced_columns():
 def test_iter_unary_preds():
     p1, p2 = Pred("a", "<", 1), Pred("b", ">", 2)
     q = And([p1, Or([p2, AdvPred("z", "a", "<", "b")])])
-    assert list(iter_unary_preds(q)) == [p1, p2]
+    assert [a for a in atoms(q) if isinstance(a, Pred)] == [p1, p2]
 
 
 def test_iter_adv_preds():
     ac = AdvPred("z", "a", "<", "b")
     q = And([Pred("a", "<", 1), Or([Pred("b", ">", 2), ac])])
-    assert list(iter_adv_preds(q)) == [ac]
+    assert [a for a in atoms(q) if isinstance(a, AdvPred)] == [ac]
+
+
+def test_atoms_in_order():
+    p1, p2, ac = Pred("a", "<", 1), Pred("b", ">", 2), AdvPred("z", "a", "<", "b")
+    q = And([p1, Or([ac, p2]), Or([p1])])
+    assert list(atoms(q)) == [p1, ac, p2, p1]
+    assert list(atoms(ac)) == [ac]
 
 
 def test_pred_repr_stable():

@@ -2,11 +2,13 @@
 import pickle
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.cost import evaluate_layout
 from repro.core.description import Description, Interval
-from repro.core.predicates import And, Pred, eval_mask
+from repro.core.greedy import greedy_qdtree
+from repro.core.predicates import AdvPred, And, Pred, eval_mask
 from repro.core.qdtree import QdTree, TreeNode, block_description, block_stats
 from repro.core.schema import infer_schema
 from repro.workloads import asts
@@ -160,6 +162,22 @@ def test_freeze_leaf_without_rows(tiny2d_module):
     for q in [Pred("cpu", "<", 100.0), Pred("disk", ">=", 0.0),
               And([Pred("cpu", ">", 60.0), Pred("disk", "<", 0.1)])]:
         assert tree.query_bids(q) == [2]
+
+
+def test_freeze_ac_tree_needs_acs():
+    """Freezing an AC tree without the AC predicates is refused, rather than
+    dropping the AC bits that later AC queries are routed by."""
+    g = np.random.default_rng(5)
+    pdf = pd.DataFrame({"u": g.random(2000), "v": g.random(2000)})
+    sch = infer_schema(pdf, domains={"u": (0, 1), "v": (0, 1)})
+    enc = sch.encode(pdf)
+    ac = AdvPred("uv", "u", "<", "v")
+    tree = greedy_qdtree(enc, sch, [ac], [ac], b=500, ac_names=("uv",))
+    with pytest.raises(ValueError, match="uv"):
+        tree.freeze(enc)
+    tree.freeze(enc, acs={"uv": ac})
+    bids = tree.route(enc)
+    assert set(np.unique(bids[eval_mask(ac, enc)])) <= set(tree.query_bids(ac))
 
 
 def test_split_guard(manual_tree):

@@ -89,3 +89,29 @@ def test_runs_on_tpch_with_acs(tpch_bundle):
     assert res.tree.n_leaves >= 2
     m = evaluate_layout(enc, res.tree.route(enc), sch, W, acs=tpch_bundle.acs)
     assert m.access_fraction < 0.9  # clearly better than scan-everything
+
+
+def test_leaf_n_rows_match_leaf_sizes(fig3):
+    enc, sch, W, cuts = fig3
+    res = woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
+                           config=WoodblockConfig(episodes=4, seed=3))
+    sizes = res.tree.leaf_sizes(enc)
+    assert [lf.n_rows for lf in res.tree.leaves] == sizes.tolist()
+
+
+def test_trailing_episodes_reach_ppo(fig3, monkeypatch):
+    """Episodes past the last full PPO batch are still trained on."""
+    from repro.rl.ppo import PPOTrainer
+
+    enc, sch, W, cuts = fig3
+    sizes = []
+    update = PPOTrainer.update
+
+    def counted(self, batch):
+        sizes.append(len(batch.actions))
+        return update(self, batch)
+
+    monkeypatch.setattr(PPOTrainer, "update", counted)
+    woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
+                     config=WoodblockConfig(episodes=5, seed=0))
+    assert len(sizes) == 2
