@@ -2,8 +2,10 @@
 
 A node's description has three parts:
 
-* ``ranges`` — per numeric/date column, an :class:`Interval` with exact
-  open/closed bounds (the paper's ``n.range`` hypercube);
+* ``ranges`` — per numeric/date column, a closed :class:`Interval`
+  ``[lo, hi]`` (the paper's ``n.range`` hypercube); a strict cut ``x < v``
+  is stored as the bound ``hi = nextafter(v, -inf)``, the largest float
+  below ``v``;
 * ``masks`` — per categorical column, a ``|Dom|``-bit boolean vector
   (``n.categorical_mask``): bit 0 ⇒ that value definitively absent;
 * ``acs`` — per advanced cut, a ``(may_true, may_false)`` pair. The paper
@@ -17,7 +19,9 @@ The two operations that matter:
 * :meth:`Description.may_intersect` — sound intersection test against a
   query AST: it may return ``True`` for a block with no matching rows
   (false positive ⇒ wasted scan) but never ``False`` for a block that
-  contains a matching row (which would lose results).
+  contains a matching row (which would lose results). Each atom of the
+  query's AND/OR tree tests only its own field: a range atom one interval,
+  a categorical atom one mask, an AC atom one bit.
 """
 from __future__ import annotations
 
@@ -32,62 +36,49 @@ from .schema import CATEGORICAL, TableSchema
 
 @dataclass(frozen=True)
 class Interval:
-    """Real-line interval with independently open/closed endpoints."""
+    """Closed interval ``[lo, hi]`` of the real line; empty iff ``lo > hi``."""
 
     lo: float = -math.inf
     hi: float = math.inf
-    lo_open: bool = False
-    hi_open: bool = False
 
     def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and (self.lo_open or self.hi_open)
+        return self.lo > self.hi
 
     # -- restriction by a unary range predicate ---------------------------
     def restrict(self, op: str, v: float, side: bool) -> "Interval":
         """Interval of points additionally satisfying ``x op v`` (side=True)
-        or its negation (side=False)."""
+        or its negation (side=False). A strict bound is stored as the
+        adjacent float, which is exact for every float64 value (and every
+        int64 value below 2**53)."""
         if not side:
             op = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}[op]
-        lo, hi, lo_o, hi_o = self.lo, self.hi, self.lo_open, self.hi_open
         if op == "<":
-            if v < hi or (v == hi and not hi_o):
-                hi, hi_o = v, True
-        elif op == "<=":
-            if v < hi:
-                hi, hi_o = v, False
-        elif op == ">":
-            if v > lo or (v == lo and not lo_o):
-                lo, lo_o = v, True
-        elif op == ">=":
-            if v > lo:
-                lo, lo_o = v, False
-        return Interval(lo, hi, lo_o, hi_o)
+            return Interval(self.lo, min(self.hi, math.nextafter(v, -math.inf)))
+        if op == "<=":
+            return Interval(self.lo, min(self.hi, v))
+        if op == ">":
+            return Interval(max(self.lo, math.nextafter(v, math.inf)), self.hi)
+        if op == ">=":
+            return Interval(max(self.lo, v), self.hi)
+        raise ValueError(op)
 
     # -- intersection with a unary range predicate ------------------------
     def intersects_pred(self, op: str, v: float) -> bool:
         """Does the interval contain any point satisfying ``x op v``?"""
-        if self.is_empty():
+        if self.lo > self.hi:
             return False
-        if op == "<":  # need a point strictly below v
+        if op == "<":
             return self.lo < v
         if op == "<=":
-            return self.lo < v or (self.lo == v and not self.lo_open)
+            return self.lo <= v
         if op == ">":
             return self.hi > v
         if op == ">=":
-            return self.hi > v or (self.hi == v and not self.hi_open)
+            return self.hi >= v
         raise ValueError(op)
 
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and self.lo_open:
-            return False
-        if x == self.hi and self.hi_open:
-            return False
-        return True
+        return self.lo <= x <= self.hi
 
 
 @dataclass
@@ -148,17 +139,14 @@ class Description:
         )
 
     # ----------------------------------------------------------- intersect
-    def may_intersect(self, query) -> bool:
-        """Sound test: could any tuple in this subspace satisfy ``query``?
+    def may_intersect(self, q) -> bool:
+        """Sound test: could any tuple in this subspace satisfy ``q``?
 
         AND intersects iff all conjuncts do; OR iff any disjunct does
-        (Sec 3.3). This is the standard conservative approximation.
+        (Sec 3.3). Each atom tests only its own field, so a description
+        that is empty in one column still intersects a query on another;
+        the descriptions of blocks without rows are empty in every field.
         """
-        if self.is_empty():
-            return False
-        return self._intersect(query)
-
-    def _intersect(self, q) -> bool:
         if isinstance(q, Pred):
             if q.op in ("=", "in"):
                 mask = self.masks[q.attr]
@@ -169,7 +157,7 @@ class Description:
             mt, mf = self.acs[q.name]
             return mf if q.negated else mt
         if isinstance(q, And):
-            return all(self._intersect(c) for c in q.children)
+            return all(self.may_intersect(c) for c in q.children)
         if isinstance(q, Or):
-            return any(self._intersect(c) for c in q.children)
+            return any(self.may_intersect(c) for c in q.children)
         raise TypeError(f"unknown query node {q!r}")

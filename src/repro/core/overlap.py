@@ -22,6 +22,7 @@ cost, which for Fig-4-style workloads is near zero.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,7 +58,8 @@ def covers(desc: Description, q: Node, schema: TableSchema) -> bool:
     if region.is_empty():
         return True
     return (
-        all(_interval_contains(iv, region.ranges[c]) for c, iv in desc.ranges.items())
+        all(iv.lo <= region.ranges[c].lo and region.ranges[c].hi <= iv.hi
+            for c, iv in desc.ranges.items())
         and not any((region.masks[c] & ~m).any() for c, m in desc.masks.items())
         and all(
             (mt or not region.acs[a][0]) and (mf or not region.acs[a][1])
@@ -81,14 +83,6 @@ def _flatten_conjunction(q: Node):
     return None
 
 
-def _interval_contains(outer: Interval, inner: Interval) -> bool:
-    if inner.lo < outer.lo or (inner.lo == outer.lo and outer.lo_open and not inner.lo_open):
-        return False
-    if inner.hi > outer.hi or (inner.hi == outer.hi and outer.hi_open and not inner.hi_open):
-        return False
-    return True
-
-
 # -------------------------------------------------------------- neighbors
 def are_neighbors(a: Description, b: Description) -> bool:
     """Hypercubes sharing N−1 dimension boundaries, adjacent in the last
@@ -106,8 +100,8 @@ def are_neighbors(a: Description, b: Description) -> bool:
 
 
 def _adjacent(lo_iv: Interval, hi_iv: Interval) -> bool:
-    # [x, v) followed by [v, y) (openness complementary at the shared cut)
-    return lo_iv.hi == hi_iv.lo and (lo_iv.hi_open != hi_iv.lo_open)
+    # [x, v) followed by [v, y): no float lies between the two intervals
+    return math.nextafter(lo_iv.hi, math.inf) == hi_iv.lo
 
 
 def _merge_along(a: Description, b: Description) -> Description:
@@ -116,12 +110,7 @@ def _merge_along(a: Description, b: Description) -> Description:
     for col, iv in a.ranges.items():
         jv = b.ranges[col]
         if iv != jv:
-            out.ranges[col] = Interval(
-                min(iv.lo, jv.lo),
-                max(iv.hi, jv.hi),
-                iv.lo_open if iv.lo <= jv.lo else jv.lo_open,
-                iv.hi_open if iv.hi >= jv.hi else jv.hi_open,
-            )
+            out.ranges[col] = Interval(min(iv.lo, jv.lo), max(iv.hi, jv.hi))
     return out
 
 

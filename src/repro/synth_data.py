@@ -1,10 +1,11 @@
-"""Spark DataFrame factories for the synthetic datasets.
+"""Spark DataFrame factory for the DuckDB oracle test's input.
 
 ``lineitem`` is a TPC-H-style fact table at scale factor ``sf`` (SF=1.0 is
-6M rows), the input of the DuckDB oracle test. The paper's own datasets —
-denormalised TPC-H and the two ErrorLogs — are generated in
-:mod:`repro.workloads` and wrapped here. Generators are deterministic in
-``seed`` so the DuckDB oracle sees identical input.
+6M rows), deterministic in ``seed`` so the DuckDB oracle sees identical
+input. The paper's own datasets — denormalised TPC-H and the two
+ErrorLogs — are generated as pandas frames in :mod:`repro.workloads`;
+jobs turn them into Spark DataFrames with
+:func:`repro.spark_io.layout.spark_df_from_raw`.
 """
 import numpy as np
 import pandas as pd
@@ -41,29 +42,3 @@ def lineitem(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFra
     )
     return spark.createDataFrame(pdf)
 
-
-# --------------------------------------------------------------------------
-# Qd-tree paper extensions. The paper evaluates on a denormalised TPC-H
-# fact table and two crash-dump-log datasets; their (pandas-level)
-# generators live in repro.workloads and are re-exported here as Spark
-# DataFrame factories.
-# --------------------------------------------------------------------------
-def tpch_denormalized(spark: SparkSession, *, sf: float = 0.01, seed: int = 0) -> DataFrame:
-    """Denormalised TPC-H-lite fact table (see repro.workloads.tpch)."""
-    from .workloads import tpch
-
-    return spark.createDataFrame(tpch.denormalized(sf=sf, seed=seed))
-
-
-def errorlog_int(spark: SparkSession, *, n: int = 60_000, seed: int = 0) -> DataFrame:
-    """Synthetic ErrorLog-Int telemetry (see repro.workloads.errorlog)."""
-    from .workloads import errorlog
-
-    return spark.createDataFrame(errorlog.errorlog_int(n=n, seed=seed))
-
-
-def errorlog_ext(spark: SparkSession, *, n: int = 60_000, seed: int = 1) -> DataFrame:
-    """Synthetic ErrorLog-Ext telemetry (see repro.workloads.errorlog)."""
-    from .workloads import errorlog
-
-    return spark.createDataFrame(errorlog.errorlog_ext(n=n, seed=seed))

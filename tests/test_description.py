@@ -1,4 +1,6 @@
 """Interval + Description: restriction exactness and intersection soundness."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,6 +12,8 @@ from repro.core.predicates import AdvPred, And, Or, Pred, eval_mask
 from repro.core.schema import infer_schema
 
 OPS = ["<", "<=", ">", ">="]
+LITERALS = st.one_of(st.integers(0, 20), st.floats(0, 20))
+BELOW, ABOVE = math.nextafter(0.07, -math.inf), math.nextafter(0.07, math.inf)
 
 
 # ------------------------------------------------------------- Interval
@@ -35,6 +39,23 @@ class TestInterval:
             (">=", 5, True, 5.0, True),
             (">=", 5, False, 5.0, False),
             (">=", 5, False, 4.9, True),
+            # a literal with no exact binary form, probed at its float neighbours
+            ("<", 0.07, True, BELOW, True),
+            ("<", 0.07, True, 0.07, False),
+            ("<", 0.07, False, 0.07, True),
+            ("<", 0.07, False, BELOW, False),
+            ("<=", 0.07, True, 0.07, True),
+            ("<=", 0.07, True, ABOVE, False),
+            ("<=", 0.07, False, 0.07, False),
+            ("<=", 0.07, False, ABOVE, True),
+            (">", 0.07, True, ABOVE, True),
+            (">", 0.07, True, 0.07, False),
+            (">", 0.07, False, 0.07, True),
+            (">", 0.07, False, ABOVE, False),
+            (">=", 0.07, True, 0.07, True),
+            (">=", 0.07, True, BELOW, False),
+            (">=", 0.07, False, 0.07, False),
+            (">=", 0.07, False, BELOW, True),
         ],
     )
     def test_restrict_boundary_semantics(self, op, v, side, probe, expect):
@@ -46,9 +67,10 @@ class TestInterval:
         assert iv.is_empty()
 
     def test_point_interval_openness(self):
-        # [5, 5] nonempty; (5, 5] empty
+        # [5, 5] nonempty; a strict bound at the point empties it
         assert not Interval(5, 5).is_empty()
-        assert Interval(5, 5, lo_open=True).is_empty()
+        assert Interval(5, 5).restrict(">", 5, True).is_empty()
+        assert Interval(5, 5).restrict("<", 5, True).is_empty()
 
     @given(
         lo=st.integers(0, 50),
@@ -67,17 +89,19 @@ class TestInterval:
         assert iv.intersects_pred(op, v) == truth
 
     @given(
-        op1=st.sampled_from(OPS), v1=st.integers(0, 20),
-        op2=st.sampled_from(OPS), v2=st.integers(0, 20),
-        probe=st.integers(0, 20),
+        op1=st.sampled_from(OPS), v1=LITERALS,
+        op2=st.sampled_from(OPS), v2=LITERALS,
+        data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_restrict_equals_predicate_conjunction(self, op1, v1, op2, v2, probe):
-        """x ∈ restrict(p1)∧restrict(p2) ⇔ x satisfies p1 ∧ p2."""
+    def test_restrict_equals_predicate_conjunction(self, op1, v1, op2, v2, data):
+        """x ∈ [0, 20] restricted by p1 and p2 ⇔ x ∈ [0, 20] satisfies p1 ∧ p2."""
         iv = Interval(0, 20).restrict(op1, v1, True).restrict(op2, v2, True)
+        near = [math.nextafter(v, d) for v in (v1, v2) for d in (-math.inf, math.inf)]
+        probe = data.draw(st.one_of(LITERALS, st.sampled_from([v1, v2, *near])))
         def sat(op, v):
             return {"<": probe < v, "<=": probe <= v, ">": probe > v, ">=": probe >= v}[op]
-        assert iv.contains(probe) == (sat(op1, v1) and sat(op2, v2))
+        assert iv.contains(probe) == (0 <= probe <= 20 and sat(op1, v1) and sat(op2, v2))
 
 
 # ---------------------------------------------------------- Description
@@ -156,9 +180,25 @@ def test_empty_descriptions(space):
     root = Description.root(sch)
     dead = root.restrict(Pred("a", "<", 10.0), True).restrict(Pred("a", ">", 20.0), True)
     assert dead.is_empty()
-    assert not dead.may_intersect(Pred("b", "<", 100.0))
+    # each atom tests only its own field: "b" is unconstrained, so a
+    # b-only query intersects. Descriptions of blocks without rows are
+    # empty in every field, and no atom intersects them.
+    assert dead.may_intersect(Pred("b", "<", 100.0))
     nomask = root.restrict(Pred("c", "in", frozenset([0, 1, 2, 3])), False)
     assert nomask.is_empty()
+
+
+def test_per_atom_intersection(space):
+    """A description empty in one column fails only the atoms on it."""
+    _, sch, _ = space
+    d = Description.root(sch)
+    d.ranges["a"] = Interval(1.0, 0.0)
+    qa, qb = Pred("a", ">=", 0.0), Pred("b", "<", 10.0)
+    assert not d.may_intersect(qa)
+    assert d.may_intersect(qb)
+    assert d.may_intersect(Pred("c", "=", 1))
+    assert not d.may_intersect(And([qa, qb]))
+    assert d.may_intersect(Or([qa, qb]))
 
 
 def test_and_or_intersection_logic(space):

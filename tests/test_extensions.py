@@ -136,13 +136,15 @@ def test_overlap_never_worse_than_tree(fig4_quad):
 
 
 # ------------------------------------------------------------- neighbors
-def _desc2d(xlo, xhi, ylo, yhi, sch, **openness):
+def _desc2d(x: Interval, y: Interval, sch):
     d = Description.root(sch)
-    d.ranges = {
-        "x": Interval(xlo, xhi, openness.get("x_lo_open", False), openness.get("x_hi_open", False)),
-        "y": Interval(ylo, yhi, openness.get("y_lo_open", False), openness.get("y_hi_open", False)),
-    }
+    d.ranges = {"x": x, "y": y}
     return d
+
+
+def _half_open(lo, hi) -> Interval:
+    """[lo, hi): the side of a cut ``x < hi`` within [lo, hi]."""
+    return Interval(lo, hi).restrict("<", hi, True)
 
 
 @pytest.fixture(scope="module")
@@ -152,49 +154,49 @@ def sch2d():
 
 
 def test_neighbors_adjacent_in_one_dim(sch2d):
-    a = _desc2d(0, 50, 0, 100, sch2d, x_hi_open=True)
-    b = _desc2d(50, 100, 0, 100, sch2d)
+    a = _desc2d(_half_open(0, 50), Interval(0, 100), sch2d)
+    b = _desc2d(Interval(50, 100), Interval(0, 100), sch2d)
     assert are_neighbors(a, b)
 
 
 def test_not_neighbors_two_dims_differ(sch2d):
-    a = _desc2d(0, 50, 0, 50, sch2d, x_hi_open=True, y_hi_open=True)
-    b = _desc2d(50, 100, 50, 100, sch2d)
+    a = _desc2d(_half_open(0, 50), _half_open(0, 50), sch2d)
+    b = _desc2d(Interval(50, 100), Interval(50, 100), sch2d)
     assert not are_neighbors(a, b)
 
 
 def test_not_neighbors_with_gap(sch2d):
-    a = _desc2d(0, 40, 0, 100, sch2d, x_hi_open=True)
-    b = _desc2d(50, 100, 0, 100, sch2d)
+    a = _desc2d(_half_open(0, 40), Interval(0, 100), sch2d)
+    b = _desc2d(Interval(50, 100), Interval(0, 100), sch2d)
     assert not are_neighbors(a, b)
 
 
 def test_not_neighbors_double_closed_overlap(sch2d):
     # both closed at the shared point -> overlapping, not adjacent
-    a = _desc2d(0, 50, 0, 100, sch2d)
-    b = _desc2d(50, 100, 0, 100, sch2d)
+    a = _desc2d(Interval(0, 50), Interval(0, 100), sch2d)
+    b = _desc2d(Interval(50, 100), Interval(0, 100), sch2d)
     assert not are_neighbors(a, b)
 
 
 # -------------------------------------------------------------- coverage
 def test_covers_conjunction(sch2d):
-    blk = _desc2d(0, 60, 0, 100, sch2d)
+    blk = _desc2d(Interval(0, 60), Interval(0, 100), sch2d)
     assert covers(blk, And([Pred("x", "<=", 50.0)]), sch2d)
     assert not covers(blk, And([Pred("x", "<=", 70.0)]), sch2d)
     assert covers(blk, And([Pred("x", "<=", 50.0), Pred("y", ">=", 10.0)]), sch2d)
 
 
 def test_covers_requires_unconstrained_dims_full(sch2d):
-    blk = _desc2d(0, 100, 0, 40, sch2d)
+    blk = _desc2d(Interval(0, 100), Interval(0, 40), sch2d)
     # query constrains only x; block clips y -> does not cover
     assert not covers(blk, Pred("x", "<=", 50.0), sch2d)
 
 
 def test_covers_or_needs_all_disjuncts(sch2d):
-    blk = _desc2d(0, 60, 0, 100, sch2d)
+    blk = _desc2d(Interval(0, 60), Interval(0, 100), sch2d)
     q = Or([Pred("x", "<=", 50.0), Pred("x", ">=", 90.0)])
     assert not covers(blk, q, sch2d)
-    full = _desc2d(0, 100, 0, 100, sch2d)
+    full = _desc2d(Interval(0, 100), Interval(0, 100), sch2d)
     assert covers(full, q, sch2d)
 
 
@@ -229,7 +231,7 @@ def test_covers_categorical_in(sch_cat):
 
 def test_covers_contradictory_range_conjunction(sch2d):
     """A query that selects nothing is covered by any block."""
-    blk = _desc2d(0, 60, 0, 40, sch2d)
+    blk = _desc2d(Interval(0, 60), Interval(0, 40), sch2d)
     q = And([Pred("x", "<", 10.0), Pred("x", ">", 20.0)])
     assert covers(blk, q, sch2d)
 

@@ -71,8 +71,7 @@ def test_completeness_every_row_satisfies_its_leaf(manual_tree):
         m = np.ones(len(enc), dtype=bool)
         for col, iv in lf.desc.ranges.items():
             v = enc[col].to_numpy()
-            m &= (v > iv.lo) | ((not iv.lo_open) & (v == iv.lo))
-            m &= (v < iv.hi) | ((not iv.hi_open) & (v == iv.hi))
+            m &= (iv.lo <= v) & (v <= iv.hi)
         assert (m == in_leaf).all()
 
 
@@ -87,6 +86,23 @@ def test_query_bids_sound(manual_tree):
     ]:
         hit_blocks = set(np.unique(bids[eval_mask(q, enc)]))
         assert hit_blocks <= set(tree.query_bids(q))
+
+
+def test_query_bids_rows_outside_domain():
+    """A leaf whose range the schema domain clamps empty still holds rows
+    and is routed by queries on other columns."""
+    pdf = pd.DataFrame({"x": [10.0, 20.0, 200.0, 200.0], "y": [1.0, 50.0, 2.0, 60.0]})
+    sch = infer_schema(pdf, domains={"x": (0.0, 100.0), "y": (0.0, 100.0)})
+    enc = sch.encode(pdf)
+    root = TreeNode(Description.root(sch))
+    root.split(Pred("x", ">", 150.0))
+    tree = QdTree.build(root, sch)
+    assert tree.route(enc).tolist() == [1, 1, 0, 0]
+    assert tree.leaves[0].desc.ranges["x"].is_empty()
+    assert tree.query_bids(Pred("y", "<", 10.0)) == [0, 1]
+    # Still lost: the root range is clamped to the domain, so no leaf
+    # admits x > 150 although bid 0 holds such rows.
+    assert tree.query_bids(Pred("x", ">", 150.0)) == []
 
 
 def test_query_bids_prunes(manual_tree):

@@ -11,6 +11,7 @@ from repro.experiments.table2 import (
     make_bundle,
     run_table2,
 )
+from repro.workloads import asts
 
 _CFG = WoodblockConfig(episodes=12, seed=0)
 
@@ -121,6 +122,31 @@ def test_table2_pinned(name, results, request):
         k: (r.metrics.tuples_accessed, r.metrics.n_blocks) for k, r in rows.items()
     }
     assert got == _PINNED[name]
+
+
+# Blocks routed summed over the workload, per tree approach, on the unfrozen
+# trees: the cut-derived leaf descriptions that query routing reads.
+_PINNED_QUERY_BIDS = {
+    "tpch": {"greedy": 1613, "woodblock": 2292},
+    "errlog-int": {"greedy": 27, "woodblock": 60},
+    "errlog-ext": {"greedy": 49, "woodblock": 84},
+}
+
+
+@pytest.mark.parametrize(
+    "name, bundle, results",
+    [("tpch", "tpch_bundle", "tpch_results"),
+     ("errlog-int", "errlog_int_bundle", "int_results"),
+     ("errlog-ext", "errlog_ext_bundle", "ext_results")],
+)
+def test_query_bids_pinned(name, bundle, results, request):
+    W = asts(request.getfixturevalue(bundle).queries)
+    rows = request.getfixturevalue(results)
+    got = {
+        k: sum(len(rows[k].tree.query_bids(q)) for q in W)
+        for k in ("greedy", "woodblock")
+    }
+    assert got == _PINNED_QUERY_BIDS[name]
 
 
 def test_format_table_mentions_all(tpch_results):

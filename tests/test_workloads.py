@@ -166,14 +166,6 @@ def test_errlog_ext_workload_selectivity(errlog_ext_bundle):
     assert np.mean(sels) < 0.02  # paper: 0.0697% at full scale
 
 
-def test_synth_data_spark_wrappers(spark):
-    from repro.synth_data import errorlog_ext, errorlog_int, tpch_denormalized
-
-    assert tpch_denormalized(spark, sf=0.0002).count() == 1200
-    assert errorlog_int(spark, n=500).count() == 500
-    assert errorlog_ext(spark, n=500).count() == 500
-
-
 def test_workload_sizes_configurable():
     raw = errorlog.errorlog_int(n=1000)
     sch = errorlog.int_schema()
