@@ -87,7 +87,6 @@ def query_implies(q: Node, f) -> bool:
 @dataclass
 class BottomUpConfig:
     max_features: int = 15  # paper: "up to 15 features"
-    min_freq: int = 1  # frequency threshold to stop selection
     selectivity_cap: float | None = None  # BU+: 0.10
     max_unique: int = 2000  # quadratic-merging safety cap
 
@@ -118,7 +117,7 @@ def select_features(
         ]
         pool = maximal or sorted(remaining)
         best = max(pool, key=lambda i: (freq[i], -i))
-        if freq[best] < cfg.min_freq:
+        if freq[best] < 1:  # the best candidate covers no uncovered query
             break
         chosen.append(best)
         remaining.discard(best)

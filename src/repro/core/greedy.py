@@ -62,8 +62,11 @@ class CutMatrix:
         cut's left-child row count (all zeros when no cut can be legal).
 
         Strict: both children hold ≥ ``b`` rows. Relaxed (Sec 6.2 overlap):
-        one child holds ≥ ``b`` rows and the other ≥ 1.
+        one child holds ≥ ``b`` rows and the other ≥ 1. ``b < 1`` raises:
+        it would admit a cut with an empty child.
         """
+        if b < 1:
+            raise ValueError("min block size must be >= 1")
         n = len(idx)
         if n < (b + 1 if relaxed else 2 * b):
             return np.zeros(len(self.cuts), dtype=bool), np.zeros(len(self.cuts), dtype=int)
@@ -151,8 +154,6 @@ def greedy_qdtree(
     least one (rather than both) child holds ≥ b tuples, so small blocks
     can be carved out for replication into neighbors.
     """
-    if b < 1:
-        raise ValueError("min block size must be >= 1")
     cm = CutMatrix.build(cuts, encoded)
     query_refs = [referenced_columns(q) for q in workload]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -32,18 +32,14 @@ from ..spark_io.layout import (
 from .table2 import WorkloadBundle
 
 
+MODES = ("qdtree", "qdtree-noroute", "baseline")
+
+
 @dataclass
 class PhysicalResult:
     per_template: dict  # template -> mode -> [seconds]
     rows_routed: dict  # template -> tuples in scanned blocks (qd-tree route)
-    totals: dict = field(default_factory=dict)  # mode -> total seconds
-
-    def summarize(self) -> dict:
-        self.totals = {
-            mode: float(sum(np.mean(v[mode]) for v in self.per_template.values()))
-            for mode in next(iter(self.per_template.values()))
-        }
-        return self.totals
+    totals: dict  # mode -> sum over templates of the mean seconds
 
 
 def _numeric_probe(bundle: WorkloadBundle) -> str:
@@ -66,7 +62,6 @@ def run_physical(
     baseline_bids: np.ndarray,
     workdir: str,
     queries=None,
-    modes: tuple = ("qdtree", "qdtree-noroute", "baseline"),
 ) -> PhysicalResult:
     """Write the two layouts under ``workdir`` and time the workload."""
     queries = queries if queries is not None else bundle.queries
@@ -83,7 +78,7 @@ def run_physical(
     rows_routed: dict = defaultdict(int)
 
     for q in queries:
-        for mode in modes:
+        for mode in MODES:
             t0 = time.perf_counter()
             if mode == "qdtree":
                 df = read_routed(spark, tree_path, q.ast, bundle.schema, tree=tree)
@@ -97,23 +92,24 @@ def run_physical(
             per_template[q.template][mode].append(time.perf_counter() - t0)
         rows_routed[q.template] += int(block_sizes[tree.query_bids(q.ast)].sum())
 
-    res = PhysicalResult(
-        {t: dict(m) for t, m in per_template.items()}, dict(rows_routed)
+    totals = {
+        mode: float(sum(np.mean(m[mode]) for m in per_template.values()))
+        for mode in MODES
+    }
+    return PhysicalResult(
+        {t: dict(m) for t, m in per_template.items()}, dict(rows_routed), totals
     )
-    res.summarize()
-    return res
 
 
 def format_physical(res: PhysicalResult) -> str:
     """Markdown: per-template mean runtimes and the workload totals."""
-    modes = list(next(iter(res.per_template.values())))
     lines = [
-        "| Template | " + " | ".join(modes) + " | rows routed |",
-        "|" + "---|" * (len(modes) + 2),
+        "| Template | " + " | ".join(MODES) + " | rows routed |",
+        "|" + "---|" * (len(MODES) + 2),
     ]
     for t, m in sorted(res.per_template.items()):
-        cells = " | ".join(f"{1000 * float(np.mean(m[mode])):.0f}ms" for mode in modes)
+        cells = " | ".join(f"{1000 * float(np.mean(m[mode])):.0f}ms" for mode in MODES)
         lines.append(f"| {t} | {cells} | {res.rows_routed.get(t, 0)} |")
-    tot = " | ".join(f"{res.totals[mode]:.2f}s" for mode in modes)
+    tot = " | ".join(f"{res.totals[mode]:.2f}s" for mode in MODES)
     lines.append(f"| **total** | {tot} | |")
     return "\n".join(lines)

@@ -1,7 +1,7 @@
 """Shared tiny-scale fixtures for the test suite.
 
 Everything here is deterministic and small (SF≈0.002, thousands of rows)
-so the whole suite runs in minutes; the bench scale lives in benchmarks/.
+so the whole suite runs in minutes; the jobs' scales are in DESIGN.md §5.
 Session scope: workload bundles and constructed trees are reused across
 test modules.
 """

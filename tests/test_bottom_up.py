@@ -107,7 +107,7 @@ def test_select_features_discounts_overlap():
     f1, f2, f3 = Pred("a", "<", 20.0), Pred("b", "<", 10.0), Pred("b", "<", 12.0)
     W = [And([Pred("a", "<", 5.0), Pred("b", "<", 8.0)])] * 3
     sel = np.array([0.2, 0.1, 0.12])
-    cfg = BottomUpConfig(max_features=3, min_freq=1)
+    cfg = BottomUpConfig(max_features=3)
     chosen = select_features([f1, f2, f3], W, sel, cfg)
     # after choosing one of f2/f3, the other's frequency is discounted to 0
     assert len(chosen) < 3

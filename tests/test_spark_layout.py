@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.predicates import to_sql
+from repro.baselines.simple import random_partition
+from repro.core.predicates import to_spark_column, to_sql
+from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
 from repro.spark_io.layout import (
     read_routed,
@@ -26,6 +28,16 @@ def written_tree_layout(spark, tpch_bundle, tpch_tree, layout_dir):
     path = f"{layout_dir}/tpch_tree"
     raw_df = spark_df_from_raw(spark, tpch_bundle.raw, tpch_bundle.schema)
     write_tree_layout(raw_df, tpch_tree, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def written_baseline_layout(spark, tpch_bundle, tpch_tree, layout_dir):
+    """Random-BID baseline with as many blocks as the tree layout."""
+    path = f"{layout_dir}/tpch_baseline"
+    n = len(tpch_bundle.raw)
+    bids = random_partition(n, -(-n // tpch_tree.n_leaves), seed=0)
+    write_bid_layout(spark, tpch_bundle.raw, bids, tpch_bundle.schema, path)
     return path
 
 
@@ -95,6 +107,27 @@ def test_oracle_equivalence_on_layout(spark, tpch_bundle, tpch_tree, written_tre
     assert_equivalent(got, sql, t=tpch_bundle.raw)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_whole_workload_matches_duckdb(
+    spark, tpch_bundle, tpch_tree, written_tree_layout, written_baseline_layout, mode
+):
+    """Per-query match counts of every workload query, from one Spark job
+    per layout mode, equal DuckDB's over the raw table. Routed mode counts
+    only the rows inside the query's routed blocks, so a block that query
+    routing wrongly prunes shows up as a lower count."""
+    sch, W = tpch_bundle.schema, asts(tpch_bundle.queries)
+    path = written_baseline_layout if mode == "baseline" else written_tree_layout
+    counts = []
+    for i, q in enumerate(W):
+        cond = to_spark_column(q, sch)
+        if mode == "qdtree":
+            cond = cond & F.col("bid").isin(tpch_tree.query_bids(q))
+        counts.append(F.count(F.when(cond, 1)).alias(f"q{i}"))
+    got = spark.read.parquet(path).agg(*counts)
+    sql = ", ".join(f"count_if({to_sql(q, sch)}) AS q{i}" for i, q in enumerate(W))
+    assert_equivalent(got, f"SELECT {sql} FROM t", t=tpch_bundle.raw)
+
+
 def test_query_routing_skips_blocks(spark, tpch_bundle, tpch_tree, written_tree_layout):
     """At least one selective query must prune blocks, and pruned scans
     read fewer tuples than the full table."""
@@ -109,8 +142,6 @@ def test_query_routing_skips_blocks(spark, tpch_bundle, tpch_tree, written_tree_
 
 
 def test_bid_layout_write(spark, tpch_bundle, layout_dir):
-    from repro.baselines.simple import random_partition
-
     path = f"{layout_dir}/tpch_rand"
     bids = random_partition(len(tpch_bundle.raw), 2000, seed=0)
     write_bid_layout(spark, tpch_bundle.raw, bids, tpch_bundle.schema, path)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.description import Description
+from repro.core.greedy import greedy_qdtree
 from repro.core.predicates import Or, Pred
 from repro.core.woodblock import Featurizer, WoodblockConfig, woodblock_qdtree
 from repro.workloads import asts
@@ -39,6 +40,18 @@ def test_trees_respect_sample_min_size(fig3):
                            config=WoodblockConfig(episodes=3, seed=1))
     sizes = res.tree.leaf_sizes(enc)
     assert (sizes >= 100).all()
+
+
+def test_builders_reject_nonpositive_min_block_size(fig3):
+    """Greedy and WOODBLOCK share CutMatrix.legal, which refuses b < 1: at
+    b = 0 every cut, even one with an empty child, would be legal."""
+    enc, sch, W, cuts = fig3
+    for b in (0, -1):
+        with pytest.raises(ValueError):
+            greedy_qdtree(enc, sch, cuts, W, b)
+        with pytest.raises(ValueError):
+            woodblock_qdtree(enc, sch, cuts, W, b_sample=b,
+                             config=WoodblockConfig(episodes=1))
 
 
 def test_best_fraction_monotone_history(fig3):
