@@ -5,9 +5,10 @@ intersects ``q``; the workload's logical cost is the sum of accessed block
 sizes over all queries. ``C(P)`` (tuples skipped) is the complement.
 
 * :func:`per_query_accessed` — the one block × query scorer: given the
-  row→BID assignment of *any* partitioner, recompute per-block stats
-  (min-max + categorical masks + AC bits, :func:`~.qdtree.block_stats`)
-  from the actual rows and count each query's accessed tuples.
+  row→BID assignment of *any* partitioner, build its
+  :class:`~.qdtree.Layout` (min-max + categorical masks + AC bits from the
+  actual rows, :func:`~.qdtree.block_stats`) and count each query's
+  accessed tuples with it.
 * :func:`evaluate_layout` — the uniform Table-2 scorer built on it, used
   identically for the random/range baselines, Bottom-Up, Greedy and
   WOODBLOCK so comparisons are apples-to-apples.
@@ -57,11 +58,8 @@ def per_query_accessed(
 ) -> np.ndarray:
     """Tuples accessed by each query individually under a layout."""
     uniq, inv = np.unique(bids, return_inverse=True)
-    descs, sizes = block_stats(encoded, inv, schema, acs or {}, len(uniq))
-    return np.array(
-        [sum(int(s) for d, s in zip(descs, sizes) if d.may_intersect(q)) for q in workload],
-        dtype=np.int64,
-    )
+    layout = block_stats(encoded, inv, schema, acs or {}, len(uniq))
+    return np.array([layout.accessed(q) for q in workload], dtype=np.int64)
 
 
 def evaluate_layout(

@@ -31,7 +31,7 @@ import pandas as pd
 
 from .description import Description, Interval
 from .predicates import AdvPred, And, Node, Or, Pred
-from .qdtree import QdTree, block_stats
+from .qdtree import Layout, QdTree, block_stats
 from .schema import TableSchema
 
 
@@ -116,27 +116,16 @@ def _merge_along(a: Description, b: Description) -> Description:
 
 # ----------------------------------------------------------------- layout
 @dataclass
-class OverlapBlock:
-    """One physical block: the *region* is its complete semantic
-    description (conjunction-of-cuts hull — every matching tuple is in the
-    block), the *stats* description is the tightened min-max/dictionary
-    metadata used for skipping. Keeping both mirrors the paper's Sec 3.2:
-    min-max indexes tighten, semantic descriptions stay complete."""
-
-    bid: int
-    region: Description
-    stats: Description
-    rows: np.ndarray  # row indices (copies included)
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@dataclass
 class OverlapLayout:
-    blocks: list[OverlapBlock]
-    n_rows: int
+    """Per block: its complete semantic *region* (conjunction-of-cuts hull
+    — every matching tuple is in the block), its row indices (copies
+    included), and in ``stats`` the min-max/dictionary :class:`Layout` of
+    those rows, used for skipping. Keeping both mirrors the paper's Sec
+    3.2: min-max indexes tighten, semantic descriptions stay complete."""
+
+    regions: list[Description]
+    rows: list[np.ndarray]
+    stats: Layout
     extra_rows: int  # replicated tuples (storage overhead)
 
     def query_blocks(self, q: Node, schema: TableSchema) -> list[int]:
@@ -144,23 +133,15 @@ class OverlapLayout:
         redundancy pruning: if some candidate's complete region covers the
         whole query region, that candidate alone suffices — scan the
         smallest such block (Sec 6.2.1)."""
-        cands = [blk for blk in self.blocks if blk.stats.may_intersect(q)]
-        covering = [blk for blk in cands if covers(blk.region, q, schema)]
+        cands = self.stats.query_bids(q)
+        covering = [b for b in cands if covers(self.regions[b], q, schema)]
         if covering:
-            best = min(covering, key=lambda blk: blk.size)
-            return [best.bid]
-        return [blk.bid for blk in cands]
+            return [min(covering, key=lambda b: self.stats.sizes[b])]
+        return cands
 
     def tuples_accessed(self, workload: Sequence[Node], schema: TableSchema) -> int:
-        size_of = {blk.bid: blk.size for blk in self.blocks}
         return sum(
-            sum(size_of[bid] for bid in self.query_blocks(q, schema))
-            for q in workload
-        )
-
-    def access_fraction(self, workload: Sequence[Node], schema: TableSchema) -> float:
-        return self.tuples_accessed(workload, schema) / (
-            self.n_rows * len(workload)
+            int(self.stats.sizes[self.query_blocks(q, schema)].sum()) for q in workload
         )
 
 
@@ -169,30 +150,23 @@ def build_overlap_layout(
 ) -> OverlapLayout:
     """Replicate each small (< b) leaf of a relaxed-construction tree into
     every neighbor large leaf, enlarging the neighbors' regions (Sec 6.2).
-    Min-max stats are then recomputed from each block's final rows."""
+    Min-max stats are then computed from each block's final rows."""
     bids = tree.route(encoded)
-    blocks = [
-        OverlapBlock(
-            lf.bid, lf.desc.copy(), lf.desc, np.flatnonzero(bids == lf.bid)
-        )
-        for lf in tree.leaves
-    ]
-    small = [blk for blk in blocks if blk.size < b]
-    large = [blk for blk in blocks if blk.size >= b]
+    regions = [lf.desc for lf in tree.leaves]
+    rows = [np.flatnonzero(bids == lf.bid) for lf in tree.leaves]
+    small = [i for i, r in enumerate(rows) if len(r) < b]
+    large = [i for i, r in enumerate(rows) if len(r) >= b]
     extra = 0
     for s in small:
         for g in large:
             # neighbor test against the large block's ORIGINAL description
-            if are_neighbors(s.region, tree.leaves[g.bid].desc):
-                g.region = _merge_along(g.region, s.region)
-                g.rows = np.concatenate([g.rows, s.rows])
-                extra += s.size
-    # tighten skipping stats from the final contents, copies included
-    stats, _ = block_stats(
-        encoded.iloc[np.concatenate([blk.rows for blk in blocks])],
-        np.repeat(np.arange(len(blocks)), [blk.size for blk in blocks]),
-        tree.schema, acs or {}, len(blocks),
+            if are_neighbors(regions[s], tree.leaves[g].desc):
+                regions[g] = _merge_along(regions[g], regions[s])
+                rows[g] = np.concatenate([rows[g], rows[s]])
+                extra += len(rows[s])
+    stats = block_stats(
+        encoded.iloc[np.concatenate(rows)],
+        np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
+        tree.schema, acs or {}, len(rows),
     )
-    for blk, desc in zip(blocks, stats):
-        blk.stats = desc
-    return OverlapLayout(blocks=blocks, n_rows=len(encoded), extra_rows=extra)
+    return OverlapLayout(regions, rows, stats, extra)

@@ -20,7 +20,8 @@ Data routing is exposed three ways:
 
 Query routing (:meth:`QdTree.query_bids`) scans leaf descriptions and
 returns the intersecting BIDs, which callers inject as ``bid IN (...)``
-(Sec 3.3).
+(Sec 3.3). The :class:`Layout` that :func:`block_stats` builds routes by
+the min-max stats of each block's rows instead (Sec 3.2).
 """
 from __future__ import annotations
 
@@ -59,7 +60,7 @@ class TreeNode:
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
     bid: int = -1  # assigned to leaves by QdTree.finalize
-    n_rows: int = 0  # rows routed here (set by route/freeze)
+    n_rows: int = 0  # build rows that reached this node (set by greedy.grow)
 
     @property
     def is_leaf(self) -> bool:
@@ -149,26 +150,6 @@ class QdTree:
         """BIDs of all leaves whose description may intersect ``query``."""
         return [lf.bid for lf in self.leaves if lf.desc.may_intersect(query)]
 
-    # -------------------------------------------------------------- freeze
-    def freeze(self, encoded: pd.DataFrame, acs: dict[str, QueryNode] | None = None) -> None:
-        """Tighten leaf descriptions with min-max/actual stats (Sec 3.2).
-
-        Replaces each leaf's range hypercube with the min-max index over its
-        routed records, recomputes categorical masks from the distinct values
-        actually present, and sets AC bits from the data. ``acs`` maps AC
-        name -> its (positive) AdvPred so bits can be evaluated; it must
-        name every AC the tree's descriptions track.
-        """
-        acs = acs or {}
-        missing = sorted(set(self.root.desc.acs) - set(acs))
-        if missing:
-            raise ValueError(f"freeze needs the predicates of ACs {missing}")
-        descs, sizes = block_stats(
-            encoded, self.route(encoded), self.schema, acs, self.n_leaves
-        )
-        for lf, desc, size in zip(self.leaves, descs, sizes):
-            lf.desc, lf.n_rows = desc, int(size)
-
     def leaf_sizes(self, encoded: pd.DataFrame) -> np.ndarray:
         bids = self.route(encoded)
         return np.bincount(bids, minlength=self.n_leaves)
@@ -207,21 +188,40 @@ def block_description(
     return Description(ranges, masks, ac_bits)
 
 
+@dataclass
+class Layout:
+    """Block metadata of a layout: per block, the min-max + mask + AC-bit
+    description of its rows (``stats``) and its row count (``sizes``).
+    Table 2 scores, and routed Spark reads prune, by these stats (Sec 3.2).
+    """
+
+    stats: list[Description]
+    sizes: np.ndarray
+
+    def query_bids(self, query: QueryNode) -> list[int]:
+        """Blocks whose stats may intersect ``query``."""
+        return [b for b, d in enumerate(self.stats) if d.may_intersect(query)]
+
+    def accessed(self, query: QueryNode) -> int:
+        """Rows in the blocks ``query`` is routed to."""
+        return int(self.sizes[self.query_bids(query)].sum())
+
+
 def block_stats(
     encoded: pd.DataFrame,
     bids: np.ndarray,
     schema: TableSchema,
     acs: dict[str, QueryNode],
     n_blocks: int,
-) -> tuple[list[Description], np.ndarray]:
-    """Descriptions and row counts of blocks ``0..n_blocks-1`` in one pass.
+) -> Layout:
+    """The :class:`Layout` of blocks ``0..n_blocks-1``, in one pass.
 
     This is the uniform block-stats metadata (what a Parquet/zone-map engine
-    keeps) used to score *every* layout in Table 2 and to freeze leaves:
-    per block, the min-max range of each numeric column, the mask of the
-    categorical codes present and the AC bits of its rows. Block ``b`` gets
-    exactly ``block_description(encoded[bids == b], ...)``; a block with no
-    rows gets the empty description.
+    keeps) used to score and route *every* layout: per block, the min-max
+    range of each numeric column, the mask of the categorical codes present
+    and the AC bits (of the AdvPreds in ``acs``) of its rows. Block ``b``
+    gets exactly ``block_description(encoded[bids == b], ...)``; a block
+    with no rows gets the empty description.
     """
     bids = np.asarray(bids)
     sizes = np.bincount(bids, minlength=n_blocks)
@@ -257,4 +257,4 @@ def block_stats(
         )
         for b in range(n_blocks)
     ]
-    return descs, sizes
+    return Layout(descs, sizes)

@@ -4,7 +4,9 @@ Reproduces the paper's Sec 7.4.1 / 7.5.1 experiments (Figures 5 and 7) at
 local scale: write each layout as ``partitionBy("bid")`` Parquet, then run
 the workload three ways —
 
-* ``qdtree`` — qd-tree layout + explicit ``BID IN (...)`` query routing,
+* ``qdtree`` — qd-tree layout + explicit ``BID IN (...)`` query routing
+  by the layout's block stats (:class:`~repro.core.qdtree.Layout`, the
+  metadata Table 2 scores by),
 * ``qdtree-noroute`` — qd-tree layout, engine-native pruning only,
 * ``baseline`` — the comparison layout (random / range / Bottom-Up).
 
@@ -22,7 +24,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
-from ..core.qdtree import QdTree
+from ..core.qdtree import QdTree, block_stats
 from ..spark_io.layout import (
     read_routed,
     spark_df_from_raw,
@@ -38,7 +40,7 @@ MODES = ("qdtree", "qdtree-noroute", "baseline")
 @dataclass
 class PhysicalResult:
     per_template: dict  # template -> mode -> [seconds]
-    rows_routed: dict  # template -> tuples in scanned blocks (qd-tree route)
+    rows_routed: dict  # template -> tuples in the blocks routed mode scans
     totals: dict  # mode -> sum over templates of the mean seconds
 
 
@@ -73,7 +75,10 @@ def run_physical(
     write_tree_layout(raw_df, tree, tree_path)
     write_bid_layout(spark, bundle.raw, baseline_bids, bundle.schema, base_path)
 
-    block_sizes = np.bincount(tree.route(bundle.encoded), minlength=tree.n_leaves)
+    layout = block_stats(
+        bundle.encoded, tree.route(bundle.encoded), bundle.schema, bundle.acs,
+        tree.n_leaves,
+    )
     per_template: dict = defaultdict(lambda: defaultdict(list))
     rows_routed: dict = defaultdict(int)
 
@@ -81,7 +86,7 @@ def run_physical(
         for mode in MODES:
             t0 = time.perf_counter()
             if mode == "qdtree":
-                df = read_routed(spark, tree_path, q.ast, bundle.schema, tree=tree)
+                df = read_routed(spark, tree_path, q.ast, bundle.schema, tree=layout)
             elif mode == "qdtree-noroute":
                 df = read_routed(spark, tree_path, q.ast, bundle.schema, tree=None)
             else:
@@ -90,7 +95,7 @@ def run_physical(
                 F.count(F.lit(1)).alias("cnt"), F.sum(probe).alias("s")
             ).collect()
             per_template[q.template][mode].append(time.perf_counter() - t0)
-        rows_routed[q.template] += int(block_sizes[tree.query_bids(q.ast)].sum())
+        rows_routed[q.template] += layout.accessed(q.ast)
 
     totals = {
         mode: float(sum(np.mean(m[mode]) for m in per_template.values()))

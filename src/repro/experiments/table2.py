@@ -74,7 +74,7 @@ def make_bundle(
         queries = tpch.workload(sch, n_seeds=n_seeds, seed=seed)
         return WorkloadBundle(
             name, raw, sch.encode(raw), sch, queries,
-            b=b or max(2, int(3000 * scale)),
+            b=b if b is not None else max(2, int(3000 * scale)),
             baseline_kind="random",
             ac_names=tpch.AC_NAMES, acs=tpch.AC_MAP,
         )
@@ -84,7 +84,7 @@ def make_bundle(
         queries = errorlog.int_workload(raw, sch, n_queries=n_queries, seed=seed + 100)
         return WorkloadBundle(
             name, raw, sch.encode(raw), sch, queries,
-            b=b or max(2, int(2000 * scale)),
+            b=b if b is not None else max(2, int(2000 * scale)),
             baseline_kind="range", range_col="ingest_date",
         )
     if name == "errlog-ext":
@@ -93,7 +93,7 @@ def make_bundle(
         queries = errorlog.ext_workload(raw, sch, n_queries=n_queries, seed=seed + 200)
         return WorkloadBundle(
             name, raw, sch.encode(raw), sch, queries,
-            b=b or max(2, int(2000 * scale)),
+            b=b if b is not None else max(2, int(2000 * scale)),
             baseline_kind="range", range_col="ingest_date",
         )
     raise ValueError(f"unknown workload {name!r}")

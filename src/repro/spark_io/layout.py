@@ -7,10 +7,10 @@ This is the paper's execution story (Sec 3.1, 3.3, 7.1) on Spark:
   UDFs), for baseline layouts a precomputed assignment — and is written
   ``partitionBy("bid")`` so each block is its own Parquet directory.
 * **Read**: a query is routed through the qd-tree (leaf-description
-  intersection) and augmented with ``bid IN (...)``; Catalyst's partition
-  pruning then skips non-matching blocks entirely. ``no route`` mode omits
-  the BID filter and relies on Parquet min-max row-group stats alone —
-  the paper's ablation in Sec 7.5.
+  intersection) or the layout's block stats and augmented with
+  ``bid IN (...)``; Catalyst's partition pruning then skips non-matching
+  blocks entirely. ``no route`` mode omits the BID filter and relies on
+  Parquet min-max row-group stats alone — the paper's ablation in Sec 7.5.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..core.predicates import Node, to_spark_column
-from ..core.qdtree import QdTree
+from ..core.qdtree import Layout, QdTree
 from ..core.schema import DATE, TableSchema
 
 
@@ -67,11 +67,13 @@ def read_routed(
     path: str,
     query: Node,
     schema: TableSchema,
-    tree: QdTree | None = None,
+    tree: QdTree | Layout | None = None,
 ) -> DataFrame:
-    """Scan a layout for ``query``. With ``tree``, inject the explicit
-    ``bid IN (...)`` predicate from qd-tree query routing (Sec 3.3);
-    without, fall back to engine-native pruning (*no route*)."""
+    """Scan a layout for ``query``. With a router ``tree``, inject the
+    explicit ``bid IN (...)`` predicate from its ``query_bids``: a
+    :class:`QdTree` routes by leaf descriptions (Sec 3.3), a :class:`Layout`
+    by block stats (Sec 3.2). Without, fall back to engine-native pruning
+    (*no route*)."""
     df = spark.read.parquet(path)
     if tree is not None:
         df = df.filter(F.col("bid").isin(tree.query_bids(query)))

@@ -105,8 +105,9 @@ def test_overlap_replicates_into_both_neighbors(fig4_band):
     _, sch, enc, W = fig4_band
     relaxed = greedy_qdtree(enc, sch, extract_cuts(W), W, b=N, relaxed=True)
     layout = build_overlap_layout(relaxed, enc, b=N)
-    enlarged = [blk for blk in layout.blocks if blk.size == N + 1]
+    enlarged = [b for b, size in enumerate(layout.stats.sizes) if size == N + 1]
     assert len(enlarged) == layout.extra_rows  # one copy per enlarged block
+    assert layout.stats.sizes.sum() == len(enc) + layout.extra_rows
 
 
 @pytest.mark.parametrize("fixture", ["fig4_band", "fig4_quad"])
@@ -119,9 +120,7 @@ def test_overlap_layout_loses_no_rows(request, fixture):
     for q in W:
         match = np.flatnonzero(eval_mask(q, enc))
         selected = layout.query_blocks(q, sch)
-        rows = np.concatenate(
-            [blk.rows for blk in layout.blocks if blk.bid in selected]
-        )
+        rows = np.concatenate([layout.rows[b] for b in selected])
         assert set(match) <= set(rows.tolist())  # no false negatives
 
 

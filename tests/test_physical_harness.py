@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.simple import random_partition
+from repro.core.cost import per_query_accessed
 from repro.experiments.physical import format_physical, run_physical
+from repro.workloads import asts
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +31,17 @@ def test_totals_summed(phys):
         assert v > 0
 
 
-def test_rows_routed_recorded(phys, tpch_bundle):
+def test_rows_routed_recorded(phys, tpch_bundle, tpch_tree):
     assert sum(phys.rows_routed.values()) > 0
     # routed rows can never exceed (queries x full table)
     assert sum(phys.rows_routed.values()) <= 4 * len(tpch_bundle.raw)
+    # routed mode reads what Table 2 scores
+    enc = tpch_bundle.encoded
+    scored = per_query_accessed(
+        enc, tpch_tree.route(enc), tpch_bundle.schema,
+        asts(tpch_bundle.queries[:4]), acs=tpch_bundle.acs,
+    )
+    assert sum(phys.rows_routed.values()) == scored.sum()
 
 
 def test_format_physical(phys):
@@ -53,7 +62,6 @@ def test_errlog_probe_is_summable(errlog_int_bundle):
 def test_run_physical_on_errlog(spark, errlog_int_bundle, tmp_path_factory):
     from repro.core.cuts import extract_cuts
     from repro.core.greedy import greedy_qdtree
-    from repro.workloads import asts
 
     b = errlog_int_bundle
     W = asts(b.queries)

@@ -1,4 +1,4 @@
-"""QdTree: routing partition/completeness, query routing, freeze."""
+"""QdTree: routing partition/completeness, query routing, block stats."""
 import pickle
 
 import numpy as np
@@ -118,20 +118,19 @@ def test_leaf_sizes(manual_tree):
     assert len(sizes) == 3
 
 
-def test_freeze_tightens(manual_tree):
+def test_layout_stats_within_leaf_regions(manual_tree):
     tree, enc = manual_tree
-    before = [dict(lf.desc.ranges) for lf in tree.leaves]
-    tree.freeze(enc)
-    for lf, old in zip(tree.leaves, before):
-        for col, iv in lf.desc.ranges.items():
-            assert iv.lo >= old[col].lo - 1e-9
-            assert iv.hi <= old[col].hi + 1e-9
-        assert lf.n_rows > 0
-    # soundness preserved after freeze
     bids = tree.route(enc)
+    layout = block_stats(enc, bids, tree.schema, {}, tree.n_leaves)
+    for lf, stats, size in zip(tree.leaves, layout.stats, layout.sizes):
+        for col, iv in stats.ranges.items():
+            assert iv.lo >= lf.desc.ranges[col].lo - 1e-9
+            assert iv.hi <= lf.desc.ranges[col].hi + 1e-9
+        assert size > 0
+    # routing by the stats stays sound
     q = And([Pred("cpu", "<", 30.0), Pred("disk", ">", 0.8)])
     hit = set(np.unique(bids[eval_mask(q, enc)]))
-    assert hit <= set(tree.query_bids(q))
+    assert hit <= set(layout.query_bids(q))
 
 
 def test_block_description_empty_block(tiny2d_module):
@@ -149,7 +148,8 @@ def test_block_stats_matches_block_description(tpch_bundle, tpch_tree):
     assert acs
     bids = tpch_tree.route(enc)
     n_blocks = tpch_tree.n_leaves + 2  # the last two ids hold no rows
-    descs, sizes = block_stats(enc, bids, sch, acs, n_blocks)
+    layout = block_stats(enc, bids, sch, acs, n_blocks)
+    descs, sizes = layout.stats, layout.sizes
     assert len(descs) == n_blocks
     assert (sizes == np.bincount(bids, minlength=n_blocks)).all()
     for b, desc in enumerate(descs):
@@ -162,38 +162,34 @@ def test_block_stats_matches_block_description(tpch_bundle, tpch_tree):
     assert descs[-1].is_empty() and sizes[-1] == 0
 
 
-def test_freeze_leaf_without_rows(tiny2d_module):
-    """A leaf no frozen row reaches gets the empty description."""
-    _, sch, enc = tiny2d_module
-    root = TreeNode(Description.root(sch))
-    l, _ = root.split(Pred("cpu", "<", 50.0))
-    l.split(Pred("disk", "<", 0.5))
-    tree = QdTree.build(root, sch)
-    tree.freeze(enc[enc["cpu"] >= 50.0])  # misses leaves 0 and 1
-    assert [lf.n_rows for lf in tree.leaves[:2]] == [0, 0]
-    assert tree.leaves[2].n_rows == int((enc["cpu"] >= 50.0).sum())
-    for lf in tree.leaves[:2]:
-        assert lf.desc.ranges == {c: Interval(1.0, 0.0) for c in ("cpu", "disk")}
-        assert lf.desc.is_empty()
+def test_layout_block_without_rows(manual_tree):
+    """A block no row reaches gets the empty description."""
+    tree, enc = manual_tree
+    rows = enc[enc["cpu"] >= 50.0]  # misses leaves 0 and 1
+    layout = block_stats(rows, tree.route(rows), tree.schema, {}, tree.n_leaves)
+    assert layout.sizes.tolist() == [0, 0, len(rows)]
+    for stats in layout.stats[:2]:
+        assert stats.ranges == {c: Interval(1.0, 0.0) for c in ("cpu", "disk")}
+        assert stats.is_empty()
     for q in [Pred("cpu", "<", 100.0), Pred("disk", ">=", 0.0),
               And([Pred("cpu", ">", 60.0), Pred("disk", "<", 0.1)])]:
-        assert tree.query_bids(q) == [2]
+        assert layout.query_bids(q) == [2]
 
 
-def test_freeze_ac_tree_needs_acs():
-    """Freezing an AC tree without the AC predicates is refused, rather than
-    dropping the AC bits that later AC queries are routed by."""
+def test_layout_ac_query_needs_ac_stats():
+    """Stats built without an AC's predicate have no bit for it, so an AC
+    query raises rather than being routed without its bit."""
     g = np.random.default_rng(5)
     pdf = pd.DataFrame({"u": g.random(2000), "v": g.random(2000)})
     sch = infer_schema(pdf, domains={"u": (0, 1), "v": (0, 1)})
     enc = sch.encode(pdf)
     ac = AdvPred("uv", "u", "<", "v")
     tree = greedy_qdtree(enc, sch, [ac], [ac], b=500, ac_names=("uv",))
-    with pytest.raises(ValueError, match="uv"):
-        tree.freeze(enc)
-    tree.freeze(enc, acs={"uv": ac})
     bids = tree.route(enc)
-    assert set(np.unique(bids[eval_mask(ac, enc)])) <= set(tree.query_bids(ac))
+    with pytest.raises(KeyError, match="uv"):
+        block_stats(enc, bids, sch, {}, tree.n_leaves).query_bids(ac)
+    layout = block_stats(enc, bids, sch, {"uv": ac}, tree.n_leaves)
+    assert set(np.unique(bids[eval_mask(ac, enc)])) <= set(layout.query_bids(ac))
 
 
 def test_split_guard(manual_tree):

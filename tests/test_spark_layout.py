@@ -5,7 +5,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.simple import random_partition
+from repro.core.cost import evaluate_layout
 from repro.core.predicates import to_spark_column, to_sql
+from repro.core.qdtree import block_stats
 from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
 from repro.spark_io.layout import (
@@ -29,6 +31,16 @@ def written_tree_layout(spark, tpch_bundle, tpch_tree, layout_dir):
     raw_df = spark_df_from_raw(spark, tpch_bundle.raw, tpch_bundle.schema)
     write_tree_layout(raw_df, tpch_tree, path)
     return path
+
+
+@pytest.fixture(scope="module")
+def tpch_layout(tpch_bundle, tpch_tree):
+    """The tree layout's block stats, the router of ``run_physical``."""
+    enc = tpch_bundle.encoded
+    return block_stats(
+        enc, tpch_tree.route(enc), tpch_bundle.schema, tpch_bundle.acs,
+        tpch_tree.n_leaves,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -109,23 +121,48 @@ def test_oracle_equivalence_on_layout(spark, tpch_bundle, tpch_tree, written_tre
 
 @pytest.mark.parametrize("mode", MODES)
 def test_whole_workload_matches_duckdb(
-    spark, tpch_bundle, tpch_tree, written_tree_layout, written_baseline_layout, mode
+    spark, tpch_bundle, tpch_tree, tpch_layout, written_tree_layout,
+    written_baseline_layout, mode,
 ):
     """Per-query match counts of every workload query, from one Spark job
     per layout mode, equal DuckDB's over the raw table. Routed mode counts
-    only the rows inside the query's routed blocks, so a block that query
-    routing wrongly prunes shows up as a lower count."""
+    only the rows inside the query's routed blocks, under both routers (leaf
+    descriptions and block stats), so a block that query routing wrongly
+    prunes shows up as a lower count."""
     sch, W = tpch_bundle.schema, asts(tpch_bundle.queries)
     path = written_baseline_layout if mode == "baseline" else written_tree_layout
-    counts = []
-    for i, q in enumerate(W):
-        cond = to_spark_column(q, sch)
-        if mode == "qdtree":
-            cond = cond & F.col("bid").isin(tpch_tree.query_bids(q))
-        counts.append(F.count(F.when(cond, 1)).alias(f"q{i}"))
+    routers = {"all": None}
+    if mode == "qdtree":
+        routers = {"tree": tpch_tree, "stats": tpch_layout}
+    counts, sql = [], []
+    for name, router in routers.items():
+        for i, q in enumerate(W):
+            cond = to_spark_column(q, sch)
+            if router is not None:
+                cond = cond & F.col("bid").isin(router.query_bids(q))
+            counts.append(F.count(F.when(cond, 1)).alias(f"{name}{i}"))
+            sql.append(f"count_if({to_sql(q, sch)}) AS {name}{i}")
     got = spark.read.parquet(path).agg(*counts)
-    sql = ", ".join(f"count_if({to_sql(q, sch)}) AS q{i}" for i, q in enumerate(W))
-    assert_equivalent(got, f"SELECT {sql} FROM t", t=tpch_bundle.raw)
+    assert_equivalent(got, f"SELECT {', '.join(sql)} FROM t", t=tpch_bundle.raw)
+
+
+def test_stats_routed_rows_equal_table2_score(
+    spark, tpch_bundle, tpch_tree, tpch_layout, written_tree_layout
+):
+    """The rows Spark finds in the blocks that routed mode scans, summed
+    over the workload, are the tuples Table 2 scores the layout by.
+    Routing by the tree's leaf descriptions reads more."""
+    enc, sch, W = tpch_bundle.encoded, tpch_bundle.schema, asts(tpch_bundle.queries)
+    rows = [
+        F.sum(F.col("bid").isin(router.query_bids(q)).cast("long"))
+        for router in (tpch_layout, tpch_tree)
+        for q in W
+    ]
+    got = spark.read.parquet(written_tree_layout).agg(*rows).collect()[0]
+    by_stats, by_tree = sum(got[: len(W)]), sum(got[len(W):])
+    score = evaluate_layout(enc, tpch_tree.route(enc), sch, W, acs=tpch_bundle.acs)
+    assert by_stats == score.tuples_accessed == 146_621
+    assert by_tree == 165_343
 
 
 def test_query_routing_skips_blocks(spark, tpch_bundle, tpch_tree, written_tree_layout):

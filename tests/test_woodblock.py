@@ -8,6 +8,7 @@ from repro.core.description import Description
 from repro.core.greedy import greedy_qdtree
 from repro.core.predicates import Or, Pred
 from repro.core.woodblock import Featurizer, WoodblockConfig, woodblock_qdtree
+from repro.experiments.table2 import make_bundle
 from repro.workloads import asts
 
 
@@ -52,6 +53,16 @@ def test_builders_reject_nonpositive_min_block_size(fig3):
         with pytest.raises(ValueError):
             woodblock_qdtree(enc, sch, cuts, W, b_sample=b,
                              config=WoodblockConfig(episodes=1))
+
+
+def test_make_bundle_keeps_zero_block_size():
+    """``b=0`` reaches the builders, which refuse it, rather than silently
+    becoming the scale's default block size."""
+    bd = make_bundle("errlog-int", scale=0.02, n_queries=5, b=0)
+    assert bd.b == 0
+    W = asts(bd.queries)
+    with pytest.raises(ValueError):
+        greedy_qdtree(bd.encoded, bd.schema, extract_cuts(W), W, bd.b)
 
 
 def test_best_fraction_monotone_history(fig3):
