@@ -1,5 +1,8 @@
 """Table 2 harness integration: all approaches run and the paper's
 qualitative ordering holds at test scale."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,38 @@ def test_query_bids_pinned(name, bundle, results, request):
         for k in ("greedy", "woodblock")
     }
     assert got == _PINNED_QUERY_BIDS[name]
+
+
+# SHA-1 of every query's BID list (JSON, workload order) per tree
+# approach: pins exactly which blocks each query is routed to.
+_PINNED_ROUTES = {
+    "tpch": {"greedy": "d9d368394fae08b8ad2e89245899bae912398922",
+             "woodblock": "fa5675a1cc1f836622add25088b7afed556c1723"},
+    "errlog-int": {"greedy": "18dae1be8586df17e368a4262ebef31d7db96898",
+                   "woodblock": "5b8227c5c75feb53051823666a79c82db197855d"},
+    "errlog-ext": {"greedy": "acaf23a496c6d2483672ff5402416cb83bc27f14",
+                   "woodblock": "d9767065b8c184e5ee5a5e575a0a4f1c7b03f2b2"},
+}
+
+
+@pytest.mark.parametrize(
+    "name, bundle, results",
+    [("tpch", "tpch_bundle", "tpch_results"),
+     ("errlog-int", "errlog_int_bundle", "int_results"),
+     ("errlog-ext", "errlog_ext_bundle", "ext_results")],
+)
+def test_route_fingerprint_pinned(name, bundle, results, request):
+    W = asts(request.getfixturevalue(bundle).queries)
+    rows = request.getfixturevalue(results)
+    got = {}
+    for k in ("greedy", "woodblock"):
+        routes = [rows[k].tree.query_bids(q) for q in W]
+        for bids in routes:
+            # plain ascending ints: read_routed passes them to Column.isin
+            assert all(type(b) is int for b in bids)
+            assert bids == sorted(set(bids))
+        got[k] = hashlib.sha1(json.dumps(routes).encode()).hexdigest()
+    assert got == _PINNED_ROUTES[name]
 
 
 def test_format_table_mentions_all(tpch_results):

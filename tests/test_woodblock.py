@@ -115,6 +115,28 @@ def test_runs_on_tpch_with_acs(tpch_bundle):
     assert m.access_fraction < 0.9  # clearly better than scan-everything
 
 
+# history of test_runs_on_tpch_with_acs's run: pins the policy's RNG draw
+# order and every episode's tree, through its sample access fraction
+_PINNED_HISTORY = [
+    (0, 0.7306777777777778, 0.7306777777777778),
+    (1, 0.7078444444444445, 0.7078444444444445),
+    (2, 0.6951444444444445, 0.6951444444444445),
+    (3, 0.6853555555555556, 0.6853555555555556),
+    (4, 0.7427444444444444, 0.6853555555555556),
+]
+
+
+def test_history_pinned(tpch_bundle):
+    enc, sch = tpch_bundle.encoded, tpch_bundle.schema
+    W = asts(tpch_bundle.queries)
+    sample = enc.sample(n=3000, random_state=0).reset_index(drop=True)
+    res = woodblock_qdtree(
+        sample, sch, extract_cuts(W), W, b_sample=60, ac_names=tpch_bundle.ac_names,
+        config=WoodblockConfig(episodes=4, seed=0),
+    )
+    assert res.history == _PINNED_HISTORY
+
+
 def test_leaf_n_rows_match_leaf_sizes(fig3):
     enc, sch, W, cuts = fig3
     res = woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
