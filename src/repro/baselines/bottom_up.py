@@ -145,11 +145,11 @@ def bottom_up_partition(
     cfg = cfg or BottomUpConfig()
     n = len(encoded)
     cm = CutMatrix.build(cuts, encoded)
-    sel = cm.masks.mean(axis=1) if len(cuts) else np.zeros(0)
+    sel = cm.masks.mean(axis=0) if len(cuts) else np.zeros(0)
     feat_idx = select_features(cuts, workload, sel, cfg)
     if not feat_idx:
         return BottomUpResult(np.zeros(n, dtype=np.int64), [], 1)
-    fmat = cm.masks[feat_idx].T.copy()  # (N, M) row feature vectors
+    fmat = cm.masks[:, feat_idx]  # (N, M) row feature vectors
     cw = np.array(
         [sum(query_implies(q, cuts[i]) for q in workload) for i in feat_idx],
         dtype=np.float64,

@@ -8,7 +8,8 @@ sizes over all queries. ``C(P)`` (tuples skipped) is the complement.
   row→BID assignment of *any* partitioner, build its
   :class:`~.qdtree.Layout` (min-max + categorical masks + AC bits from the
   actual rows, :func:`~.qdtree.block_stats`) and count each query's
-  accessed tuples with it.
+  accessed tuples with one blocks × queries intersection matrix
+  (:mod:`.intersect`).
 * :func:`evaluate_layout` — the uniform Table-2 scorer built on it, used
   identically for the random/range baselines, Bottom-Up, Greedy and
   WOODBLOCK so comparisons are apples-to-apples.
@@ -59,7 +60,7 @@ def per_query_accessed(
     """Tuples accessed by each query individually under a layout."""
     uniq, inv = np.unique(bids, return_inverse=True)
     layout = block_stats(encoded, inv, schema, acs or {}, len(uniq))
-    return np.array([layout.accessed(q) for q in workload], dtype=np.int64)
+    return layout.sizes @ layout.blocks.intersects(workload)
 
 
 def evaluate_layout(

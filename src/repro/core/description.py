@@ -21,7 +21,10 @@ The two operations that matter:
   (false positive ⇒ wasted scan) but never ``False`` for a block that
   contains a matching row (which would lose results). Each atom of the
   query's AND/OR tree tests only its own field: a range atom one interval,
-  a categorical atom one mask, an AC atom one bit.
+  a categorical atom one mask, an AC atom one bit. Construction, scoring
+  and routing use the compiled kernel of :mod:`.intersect`, which gives
+  the same answers in bulk; this walk is the reference it is tested
+  against.
 """
 from __future__ import annotations
 

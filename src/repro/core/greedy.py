@@ -14,12 +14,13 @@ the greedy criterion is evaluated locally, so expansion order does not
 change the tree. Two optimisations keep this *O(|P|·|V|·depth)*-ish as
 analysed in the paper:
 
-* a precomputed cut-mask matrix (:class:`CutMatrix`) gives the left/right
-  child sizes of every candidate cut on a node with one vectorised slice;
-* *active-query pruning*: each node tracks the queries its description
-  still intersects. A cut on column ``c`` can only deactivate queries that
-  both (a) are active at the parent and (b) reference ``c``, so only those
-  are re-checked against child descriptions.
+* a precomputed cut-mask matrix (:class:`CutMatrix`, rows × cuts) gives
+  the left child size of every candidate cut on a node from one gather of
+  the node's rows;
+* *active-query pruning*: each node tracks the boxes of the compiled
+  workload (:mod:`.intersect`) its description still intersects, and one
+  batched kernel call gives the active-query counts of both children of
+  every legal cut.
 """
 from __future__ import annotations
 
@@ -31,8 +32,9 @@ import numpy as np
 import pandas as pd
 
 from .description import Description
+from .intersect import Space, Workload, compile_workload
 from .predicates import Node as QueryNode
-from .predicates import column_key, eval_mask, referenced_columns
+from .predicates import eval_mask
 from .qdtree import QdTree, TreeNode
 from .schema import TableSchema
 
@@ -42,18 +44,25 @@ class CutMatrix:
     """Candidate cuts with precomputed satisfaction masks over a dataset."""
 
     cuts: list
-    masks: np.ndarray  # (|P|, N) bool — masks[i, r] ⇔ row r satisfies cuts[i]
+    masks: np.ndarray  # (N, |P|) bool — masks[r, i] ⇔ row r satisfies cuts[i]
 
     @staticmethod
     def build(cuts: Sequence, encoded: pd.DataFrame) -> "CutMatrix":
-        masks = np.stack([eval_mask(c, encoded) for c in cuts]) if cuts else np.zeros(
-            (0, len(encoded)), dtype=bool
-        )
-        return CutMatrix(list(cuts), masks)
+        if not cuts:
+            return CutMatrix([], np.zeros((len(encoded), 0), dtype=bool))
+        # row-major, so that left_counts gathers whole rows
+        return CutMatrix(list(cuts), np.stack([eval_mask(c, encoded) for c in cuts]).T.copy())
 
     def left_counts(self, idx: np.ndarray) -> np.ndarray:
-        """Per-cut count of rows in ``idx`` satisfying the cut."""
-        return self.masks[:, idx].sum(axis=1)
+        """Per-cut count of rows in ``idx`` satisfying the cut. Rows are
+        gathered whole and summed as uint8 in chunks of 255, which cannot
+        overflow."""
+        out = np.zeros(len(self.cuts), dtype=np.int64)
+        for i in range(0, len(idx), 255):
+            out += np.add.reduce(
+                self.masks[idx[i:i + 255]].view(np.uint8), axis=0, dtype=np.uint8
+            )
+        return out
 
     def legal(
         self, idx: np.ndarray, b: int, relaxed: bool = False
@@ -77,65 +86,37 @@ class CutMatrix:
         return small >= b, counts
 
 
-def split_active(
-    cut,
-    ld: Description,
-    rd: Description,
-    active: list[int],
-    workload: Sequence[QueryNode],
-    query_refs: list[frozenset],
-) -> tuple[list[int], list[int]]:
-    """Active queries of the left/right children ``ld``/``rd`` of ``cut``:
-    each active query referencing the cut's column is re-checked against
-    both child descriptions; the others pass to both children."""
-    key = column_key(cut)
-    a_left, a_right = [], []
-    for qi in active:
-        if key in query_refs[qi]:
-            if ld.may_intersect(workload[qi]):
-                a_left.append(qi)
-            if rd.may_intersect(workload[qi]):
-                a_right.append(qi)
-        else:  # restriction along an unreferenced column cannot deactivate
-            a_left.append(qi)
-            a_right.append(qi)
-    return a_left, a_right
-
-
 def grow(
     cm: CutMatrix,
-    schema: TableSchema,
-    workload: Sequence[QueryNode],
-    ac_names: tuple[str, ...],
-    choose: Callable[[TreeNode, np.ndarray, list, int], Optional[int]],
+    root_desc: Description,
+    wl: Workload,
+    choose: Callable[[TreeNode, np.ndarray, np.ndarray, int], Optional[int]],
 ) -> tuple[TreeNode, list[tuple[TreeNode, int]]]:
-    """Build a tree over the rows of ``cm``, breadth-first.
+    """Build a tree over the rows of ``cm`` from ``root_desc``, breadth-first.
 
-    ``choose(node, idx, active, n_open)`` gets a node, its row indices, its
-    active queries and the number of open leaves (finished leaves, queued
-    nodes and this one); it returns the index of the cut to apply, or
-    ``None`` to make the node a leaf. Returns the root and the leaves as
-    ``(node, n_active)``; every node's ``n_rows`` is set.
+    ``wl`` is the workload compiled with ``cm``'s cuts. ``choose(node, idx,
+    boxes, n_open)`` gets a node, its row indices, its active boxes (the
+    boxes of ``wl`` its description intersects) and the number of open
+    leaves (finished leaves, queued nodes and this one); it returns the
+    index of the cut to apply, or ``None`` to make the node a leaf. Returns
+    the root and the leaves as ``(node, n_active_queries)``; every node's
+    ``n_rows`` is set.
     """
-    query_refs = [referenced_columns(q) for q in workload]
-    root = TreeNode(Description.root(schema, ac_names))
-    active = [qi for qi, q in enumerate(workload) if root.desc.may_intersect(q)]
-    queue = deque([(root, np.arange(cm.masks.shape[1]), active)])
+    root = TreeNode(root_desc)
+    queue = deque([(root, np.arange(len(cm.masks)), wl.active_boxes(root_desc))])
     leaves: list[tuple[TreeNode, int]] = []
     while queue:
-        node, idx, active = queue.popleft()
+        node, idx, boxes = queue.popleft()
         node.n_rows = len(idx)
-        ci = choose(node, idx, active, len(leaves) + len(queue) + 1)
+        ci = choose(node, idx, boxes, len(leaves) + len(queue) + 1)
         if ci is None:
-            leaves.append((node, len(active)))
+            leaves.append((node, wl.n_active(boxes)))
             continue
+        b_l, b_r = wl.split(node.desc, boxes, ci)
         left, right = node.split(cm.cuts[ci])
-        a_l, a_r = split_active(
-            cm.cuts[ci], left.desc, right.desc, active, workload, query_refs
-        )
-        m = cm.masks[ci, idx]
-        queue.append((left, idx[m], a_l))
-        queue.append((right, idx[~m], a_r))
+        m = cm.masks[idx, ci]
+        queue.append((left, idx[m], b_l))
+        queue.append((right, idx[~m], b_r))
     return root, leaves
 
 
@@ -155,23 +136,21 @@ def greedy_qdtree(
     can be carved out for replication into neighbors.
     """
     cm = CutMatrix.build(cuts, encoded)
-    query_refs = [referenced_columns(q) for q in workload]
+    root = Description.root(schema, ac_names)
+    wl = compile_workload(workload, Space.of(root), cm.cuts)
 
-    def choose(node: TreeNode, idx: np.ndarray, active: list[int], n_open: int):
+    def choose(node: TreeNode, idx: np.ndarray, boxes: np.ndarray, n_open: int):
         """First cut with the strictly largest positive gain, where
         gain = Δ skipped tuples = |N|·|A| − |L|·|A_L| − |R|·|A_R|."""
         legal, counts = cm.legal(idx, b, relaxed)
-        n, best, best_gain = len(idx), None, 0
-        for ci in np.flatnonzero(legal):
-            cut, nl = cm.cuts[ci], int(counts[ci])
-            a_l, a_r = split_active(
-                cut, node.desc.restrict(cut, True), node.desc.restrict(cut, False),
-                active, workload, query_refs,
-            )
-            gain = n * len(active) - nl * len(a_l) - (n - nl) * len(a_r)
-            if gain > best_gain:
-                best, best_gain = int(ci), gain
-        return best
+        cis = np.flatnonzero(legal)
+        if not len(cis):
+            return None
+        a_l, a_r = wl.split_counts(node.desc, boxes, cis)
+        n, nl = len(idx), counts[cis]
+        gain = n * wl.n_active(boxes) - nl * a_l - (n - nl) * a_r
+        best = int(np.argmax(gain))
+        return int(cis[best]) if gain[best] > 0 else None
 
-    root, _ = grow(cm, schema, workload, ac_names, choose)
+    root, _ = grow(cm, root, wl, choose)
     return QdTree.build(root, schema)

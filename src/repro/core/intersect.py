@@ -1,0 +1,302 @@
+"""Compiled description × query intersection (Sec 3.3, 4, 5, Eq. 1).
+
+Greedy's gain, WOODBLOCK's active queries, Table-2 scoring and query
+routing all ask one question: may a block described by a
+:class:`~.description.Description` hold a row matching a query? The
+description's own walk of the query's AND/OR tree answers it for one pair
+and is the reference the tests hold this module to. This module answers it
+for every pair at once:
+
+* :func:`compile_workload` maps the queries to *atoms*, their distinct leaf
+  predicates, and *boxes*, the conjunctions of each query's disjunctive
+  normal form, with a box → query map;
+* :class:`Blocks` holds a set of descriptions as arrays: ``lo``/``hi`` per
+  numeric column, the categorical masks side by side, and the may-true /
+  may-false bits of every advanced cut (AC);
+* :meth:`Workload.box_truth` tests every (description, atom) pair exactly
+  as the walk tests that atom — a range atom its interval, a categorical
+  atom its mask, an AC atom one bit — and reduces atom truth to boxes with
+  a float32 matmul; a second matmul reduces boxes to queries.
+
+A box holds iff all its atoms do, and a query iff one of its boxes does.
+For boolean atom values that is the walk's AND/OR tree, so every answer
+equals the walk's, atom by atom: ``x < 1 AND x > 5`` still intersects any
+interval that admits either conjunct alone.
+
+The compiled workload also carries the effect of every candidate cut on a
+description (:meth:`Description.restrict` as bounds and kept bits), so
+Greedy gets the active-query counts of both children of every legal cut
+in one batch (:meth:`Workload.split_counts`): the children become the rows
+of one :class:`Blocks`, tested against the node's active boxes only. A
+restriction never makes an atom true, so a box that fails at a node fails
+in both its children; and as a cut on column ``j`` changes only the atoms
+on ``j``, an active box holds in a child iff the child's atoms on ``j`` do.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+from .description import Description, Interval
+from .predicates import AdvPred, And, Or, Pred
+
+
+@dataclass
+class Space:
+    """Array layout of a family of descriptions with the same fields."""
+
+    num: dict  # numeric column -> index into lo/hi
+    cat: dict  # categorical column -> (offset, cardinality) in a mask row
+    ac: dict  # AC name -> index into may_true/may_false
+    width: int = field(init=False)  # Σ cardinalities: the length of a mask row
+
+    def __post_init__(self):
+        self.width = sum(card for _, card in self.cat.values())
+
+    @staticmethod
+    def of(desc: Description) -> "Space":
+        cat, off = {}, 0
+        for name, m in desc.masks.items():
+            cat[name] = (off, len(m))
+            off += len(m)
+        return Space({c: i for i, c in enumerate(desc.ranges)}, cat,
+                     {a: i for i, a in enumerate(desc.acs)})
+
+
+@dataclass
+class Blocks:
+    """Descriptions as arrays, one row per description (an empty range is
+    ``lo > hi``, as in :class:`~.description.Interval`)."""
+
+    space: Space
+    lo: np.ndarray  # (n, numeric columns) float64
+    hi: np.ndarray
+    masks: np.ndarray  # (n, Σ cardinalities) bool
+    may_true: np.ndarray  # (n, ACs) bool
+    may_false: np.ndarray
+
+    @staticmethod
+    def of(descs: Sequence[Description], space: Space | None = None) -> "Blocks":
+        space = space or Space.of(descs[0])
+        n = len(descs)
+        ranges = [[d.ranges[c] for c in space.num] for d in descs]
+        acs = np.array([[d.acs[a] for a in space.ac] for d in descs], dtype=bool)
+        acs = acs.reshape(n, len(space.ac), 2)
+        return Blocks(
+            space,
+            np.array([[iv.lo for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
+            np.array([[iv.hi for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
+            np.array([np.concatenate([d.masks[c] for c in space.cat] or [[]])
+                      for d in descs], dtype=bool).reshape(n, space.width),
+            acs[:, :, 0],
+            acs[:, :, 1],
+        )
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def descriptions(self) -> list[Description]:
+        """The rows back as :class:`~.description.Description` objects."""
+        return [
+            Description(
+                {c: Interval(float(self.lo[b, j]), float(self.hi[b, j]))
+                 for c, j in self.space.num.items()},
+                {c: self.masks[b, off:off + card] for c, (off, card) in self.space.cat.items()},
+                {a: (bool(self.may_true[b, j]), bool(self.may_false[b, j]))
+                 for a, j in self.space.ac.items()},
+            )
+            for b in range(len(self))
+        ]
+
+    def intersects(self, queries: Sequence) -> np.ndarray:
+        """(blocks, queries) bool: may block b hold a row matching query q?"""
+        return compile_workload(queries, self.space).intersects(self)
+
+    def query_bids(self, query) -> list[int]:
+        """Ascending indices (plain ints) of the blocks ``query`` intersects."""
+        return np.flatnonzero(self.intersects([query])[:, 0]).tolist()
+
+
+def _dnf(q) -> list[tuple]:
+    """``q`` as an OR of conjunctions (tuples) of leaf predicates."""
+    if isinstance(q, (Pred, AdvPred)):
+        return [(q,)]
+    if isinstance(q, And):
+        out = [()]
+        for c in q.children:
+            out = [a + b for a in out for b in _dnf(c)]
+        return out
+    if isinstance(q, Or):
+        return [box for c in q.children for box in _dnf(c)]
+    raise TypeError(f"unknown query node {q!r}")
+
+
+@dataclass
+class Workload:
+    """Compiled queries, and optionally the effects of candidate cuts.
+
+    Atoms are ordered range atoms, then categorical atoms, then AC atoms.
+    """
+
+    space: Space
+    n_queries: int
+    r_col: np.ndarray  # per range atom: numeric column
+    r_lo: np.ndarray  # tests lo (< and <=), else hi (> and >=)
+    r_strict: np.ndarray  # < or >
+    r_val: np.ndarray  # v for a lo test, -v for a hi test
+    c_rows: np.ndarray  # mask positions the categorical atoms read
+    c_ind: np.ndarray  # (c_rows, categorical atoms) float32 indicator
+    a_col: np.ndarray  # per AC atom: AC index
+    a_neg: np.ndarray  # negated AC: reads may_false
+    box_atoms: np.ndarray  # (atoms, boxes) float32: atom in box
+    box_query: np.ndarray  # (boxes, queries) float32: box of query
+    box_q: np.ndarray  # (boxes,) query of each box, ascending
+    # effects of cut c: rows c (cut holds) and n_cuts + c (it does not)
+    cut_lo: np.ndarray  # (2·cuts, numeric columns) lower bound imposed
+    cut_hi: np.ndarray
+    cut_keep: np.ndarray  # (2·cuts, mask width) mask bits kept
+    cut_true: np.ndarray  # (2·cuts, ACs) may_true bit kept
+    cut_false: np.ndarray
+
+    # ------------------------------------------------------------- queries
+    def truth(self, b: Blocks) -> np.ndarray:
+        """(blocks, atoms) bool: the walk's test of each atom on each block."""
+        lo, hi = b.lo[:, self.r_col], b.hi[:, self.r_col]
+        x = np.where(self.r_lo, lo, -hi)
+        rng = np.where(self.r_strict, x < self.r_val, x <= self.r_val) & ~(lo > hi)
+        cat = b.masks[:, self.c_rows].astype(np.float32) @ self.c_ind > 0
+        ac = np.where(self.a_neg, b.may_false[:, self.a_col], b.may_true[:, self.a_col])
+        return np.concatenate([rng, cat, ac], axis=1)
+
+    def box_truth(self, b: Blocks, boxes=slice(None)) -> np.ndarray:
+        """(blocks, boxes) bool: does every atom of the box hold?"""
+        false = (~self.truth(b)).astype(np.float32) @ self.box_atoms[:, boxes]
+        return false == 0
+
+    def intersects(self, b: Blocks) -> np.ndarray:
+        """(blocks, queries) bool: does one of the query's boxes hold?"""
+        return self.box_truth(b).astype(np.float32) @ self.box_query > 0
+
+    def n_active(self, boxes: np.ndarray) -> int:
+        """Number of queries with a box among ``boxes`` (ascending)."""
+        return len(self._query_starts(boxes))
+
+    def _query_starts(self, boxes: np.ndarray) -> np.ndarray:
+        """Positions in ``boxes`` (ascending) where a query's boxes begin."""
+        return np.flatnonzero(np.diff(self.box_q[boxes], prepend=-1))
+
+    # ---------------------------------------------------------------- cuts
+    def children(self, desc: Description, cis: np.ndarray) -> Blocks:
+        """Both children of ``desc`` under each cut in ``cis``: row i is
+        the side where cut ``cis[i]`` holds, row ``len(cis) + i`` the other
+        (:meth:`Description.restrict`, as arrays)."""
+        p = Blocks.of([desc], self.space)
+        rows = np.concatenate([cis, cis + len(self.cut_lo) // 2])
+        return Blocks(
+            p.space,
+            np.maximum(p.lo, self.cut_lo[rows]),
+            np.minimum(p.hi, self.cut_hi[rows]),
+            p.masks & self.cut_keep[rows],
+            p.may_true & self.cut_true[rows],
+            p.may_false & self.cut_false[rows],
+        )
+
+    def split_counts(
+        self, desc: Description, boxes: np.ndarray, cis: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(|A_L|, |A_R|) per cut in ``cis``: active queries of both children
+        of a node with description ``desc`` and active boxes ``boxes``."""
+        held = self.box_truth(self.children(desc, cis), boxes)
+        n = np.logical_or.reduceat(held, self._query_starts(boxes), axis=1).sum(axis=1)
+        return n[: len(cis)], n[len(cis):]
+
+    def split(
+        self, desc: Description, boxes: np.ndarray, ci: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Active boxes of the left and right child of cut ``ci``."""
+        held = self.box_truth(self.children(desc, np.array([ci])))[:, boxes]
+        return boxes[held[0]], boxes[held[1]]
+
+    def active_boxes(self, desc: Description) -> np.ndarray:
+        return np.flatnonzero(self.box_truth(Blocks.of([desc], self.space))[0])
+
+
+def _cut_effects(cuts: Sequence, space: Space):
+    """Per cut and side, the bounds and kept bits that
+    :meth:`Description.restrict` applies."""
+    n, full = len(cuts), Interval()
+    lo = np.full((2 * n, len(space.num)), -np.inf)
+    hi = np.full((2 * n, len(space.num)), np.inf)
+    keep = np.ones((2 * n, space.width), dtype=bool)
+    keep_t = np.ones((2 * n, len(space.ac)), dtype=bool)
+    keep_f = np.ones((2 * n, len(space.ac)), dtype=bool)
+    for i, cut in enumerate(cuts):
+        if isinstance(cut, Pred) and cut.op in ("=", "in"):
+            off, card = space.cat[cut.attr]
+            vals = cut.value if cut.op == "in" else frozenset([cut.value])
+            sel = np.zeros(card, dtype=bool)
+            sel[[int(v) for v in vals]] = True
+            keep[i, off:off + card], keep[n + i, off:off + card] = sel, ~sel
+        elif isinstance(cut, Pred):
+            j = space.num[cut.attr]
+            for row, side in ((i, True), (n + i, False)):
+                iv = full.restrict(cut.op, float(cut.value), side)
+                lo[row, j], hi[row, j] = iv.lo, iv.hi
+        elif isinstance(cut, AdvPred):
+            j = space.ac[cut.name]
+            # the side where the positive AC holds may not be false
+            pos, neg = (n + i, i) if cut.negated else (i, n + i)
+            keep_f[pos, j], keep_t[neg, j] = False, False
+        else:
+            raise TypeError(f"cannot restrict by {cut!r}")
+    return lo, hi, keep, keep_t, keep_f
+
+
+def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Workload:
+    """Compile ``queries`` (and the effects of ``cuts``) against ``space``.
+
+    A field the space lacks raises ``KeyError``, as the walk does.
+    """
+    rng: dict = {}
+    cat: dict = {}
+    ac: dict = {}
+    boxes: list[tuple[int, list]] = []  # (query, [(kind, local atom index)])
+    for qi, q in enumerate(queries):
+        for conj in _dnf(q):
+            box = []
+            for a in conj:
+                if isinstance(a, AdvPred):
+                    box.append((2, ac.setdefault(a, len(ac))))
+                elif a.op in ("=", "in"):
+                    box.append((1, cat.setdefault(a, len(cat))))
+                else:
+                    box.append((0, rng.setdefault(a, len(rng))))
+            boxes.append((qi, box))
+
+    r_col = np.array([space.num[a.attr] for a in rng], dtype=np.int64)
+    r_lo = np.array([a.op in ("<", "<=") for a in rng], dtype=bool)
+    r_strict = np.array([a.op in ("<", ">") for a in rng], dtype=bool)
+    r_val = np.array([float(a.value) for a in rng], dtype=float)
+    r_val[~r_lo] *= -1
+    c_ind = np.zeros((space.width, len(cat)), dtype=np.float32)
+    for a, k in cat.items():
+        off, card = space.cat[a.attr]
+        vals = a.value if a.op == "in" else frozenset([a.value])
+        # index as the walk does: a negative code counts from the end
+        c_ind[off + np.arange(card)[[int(v) for v in vals]], k] = 1.0
+    c_rows = np.flatnonzero(c_ind.any(axis=1))
+    base = (0, len(rng), len(rng) + len(cat))
+    box_atoms = np.zeros((len(rng) + len(cat) + len(ac), len(boxes)), dtype=np.float32)
+    box_query = np.zeros((len(boxes), len(queries)), dtype=np.float32)
+    for k, (qi, box) in enumerate(boxes):
+        box_atoms[[base[kind] + i for kind, i in box], k] = 1.0
+        box_query[k, qi] = 1.0
+    return Workload(
+        space, len(queries), r_col, r_lo, r_strict, r_val, c_rows, c_ind[c_rows],
+        np.array([space.ac[a.name] for a in ac], dtype=np.int64),
+        np.array([a.negated for a in ac], dtype=bool),
+        box_atoms, box_query, np.array([qi for qi, _ in boxes], dtype=np.int64),
+        *_cut_effects(cuts, space),
+    )

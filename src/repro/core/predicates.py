@@ -187,16 +187,3 @@ def atoms(node: Node):
     else:
         raise TypeError(f"unknown node {node!r}")
 
-
-def column_key(atom: Pred | AdvPred) -> str:
-    """The column a leaf predicate constrains: ``attr``, or ``ac:<name>``."""
-    return atom.attr if isinstance(atom, Pred) else f"ac:{atom.name}"
-
-
-def referenced_columns(node: Node) -> frozenset:
-    """Column keys (:func:`column_key`) of every leaf predicate in a query.
-
-    Used by the active-query optimisation: a cut on column ``c`` can only
-    change a query's intersection status if the query references ``c``.
-    """
-    return frozenset(map(column_key, atoms(node)))

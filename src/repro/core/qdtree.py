@@ -18,20 +18,22 @@ Data routing is exposed three ways:
 * the same expression doubles as the partitioning *function* required by
   Problem 2 (new tuples route without reshuffling).
 
-Query routing (:meth:`QdTree.query_bids`) scans leaf descriptions and
-returns the intersecting BIDs, which callers inject as ``bid IN (...)``
-(Sec 3.3). The :class:`Layout` that :func:`block_stats` builds routes by
-the min-max stats of each block's rows instead (Sec 3.2).
+Query routing (:meth:`QdTree.query_bids`) tests the query against the leaf
+descriptions, held as arrays (:class:`~.intersect.Blocks`) built once per
+tree, and returns the intersecting BIDs, which callers inject as
+``bid IN (...)`` (Sec 3.3). The :class:`Layout` that :func:`block_stats`
+builds routes by the min-max stats of each block's rows instead (Sec 3.2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import pandas as pd
 
 from .description import Description, Interval
+from .intersect import Blocks, Space
 from .predicates import AdvPred, Pred
 from .predicates import Node as QueryNode
 from .predicates import _NUMPY_OPS, eval_mask, to_spark_column
@@ -81,7 +83,8 @@ class QdTree:
 
     root: TreeNode
     schema: TableSchema
-    leaves: list[TreeNode] = field(default_factory=list)
+    leaves: list[TreeNode]
+    blocks: Blocks  # the leaf descriptions as arrays, in BID order
 
     @staticmethod
     def build(root: TreeNode, schema: TableSchema) -> "QdTree":
@@ -97,7 +100,7 @@ class QdTree:
                 visit(n.right)
 
         visit(root)
-        return QdTree(root, schema, leaves)
+        return QdTree(root, schema, leaves, Blocks.of([lf.desc for lf in leaves]))
 
     @property
     def n_leaves(self) -> int:
@@ -148,7 +151,7 @@ class QdTree:
     # ------------------------------------------------------------- queries
     def query_bids(self, query: QueryNode) -> list[int]:
         """BIDs of all leaves whose description may intersect ``query``."""
-        return [lf.bid for lf in self.leaves if lf.desc.may_intersect(query)]
+        return self.blocks.query_bids(query)
 
     def leaf_sizes(self, encoded: pd.DataFrame) -> np.ndarray:
         bids = self.route(encoded)
@@ -191,16 +194,22 @@ def block_description(
 @dataclass
 class Layout:
     """Block metadata of a layout: per block, the min-max + mask + AC-bit
-    description of its rows (``stats``) and its row count (``sizes``).
-    Table 2 scores, and routed Spark reads prune, by these stats (Sec 3.2).
+    description of its rows (``blocks``, as arrays) and its row count
+    (``sizes``). Table 2 scores, and routed Spark reads prune, by these
+    stats (Sec 3.2).
     """
 
-    stats: list[Description]
+    blocks: Blocks
     sizes: np.ndarray
+
+    @property
+    def stats(self) -> list[Description]:
+        """The per-block stats as descriptions."""
+        return self.blocks.descriptions()
 
     def query_bids(self, query: QueryNode) -> list[int]:
         """Blocks whose stats may intersect ``query``."""
-        return [b for b, d in enumerate(self.stats) if d.may_intersect(query)]
+        return self.blocks.query_bids(query)
 
     def accessed(self, query: QueryNode) -> int:
         """Rows in the blocks ``query`` is routed to."""
@@ -229,32 +238,26 @@ def block_stats(
     present = np.flatnonzero(sizes)
     # reduceat over empty segments would return a neighbour's value
     starts = (np.cumsum(sizes) - sizes)[present]
-    ranges: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    masks: dict[str, np.ndarray] = {}
-    for name, spec in schema.columns.items():
-        col = encoded[name].to_numpy()
-        if spec.kind == CATEGORICAL:
-            masks[name] = np.zeros((n_blocks, spec.cardinality), dtype=bool)
-            masks[name][bids, col.astype(int)] = True
-        else:
-            col = col[order]
-            lo, hi = np.full(n_blocks, 1.0), np.full(n_blocks, 0.0)  # empty
-            lo[present] = np.minimum.reduceat(col, starts)
-            hi[present] = np.maximum.reduceat(col, starts)
-            ranges[name] = (lo, hi)
-    ac_bits = {}
-    for ac_name, pred in acs.items():
+    num = [c for c, spec in schema.columns.items() if spec.kind != CATEGORICAL]
+    cat = [c for c, spec in schema.columns.items() if spec.kind == CATEGORICAL]
+    offsets = np.cumsum([0] + [schema[c].cardinality for c in cat])
+    lo, hi = np.full((n_blocks, len(num)), 1.0), np.full((n_blocks, len(num)), 0.0)  # empty
+    for j, name in enumerate(num):
+        col = encoded[name].to_numpy()[order]
+        lo[present, j] = np.minimum.reduceat(col, starts)
+        hi[present, j] = np.maximum.reduceat(col, starts)
+    masks = np.zeros((n_blocks, offsets[-1]), dtype=bool)
+    for name, off in zip(cat, offsets):
+        masks[bids, off + encoded[name].to_numpy().astype(int)] = True
+    may_true = np.zeros((n_blocks, len(acs)), dtype=bool)
+    may_false = np.zeros((n_blocks, len(acs)), dtype=bool)
+    for j, pred in enumerate(acs.values()):
         m = eval_mask(pred, encoded)
-        ac_bits[ac_name] = (
-            np.bincount(bids[m], minlength=n_blocks) > 0,
-            np.bincount(bids[~m], minlength=n_blocks) > 0,
-        )
-    descs = [
-        Description(
-            {c: Interval(float(lo[b]), float(hi[b])) for c, (lo, hi) in ranges.items()},
-            {c: m[b] for c, m in masks.items()},
-            {a: (bool(t[b]), bool(f[b])) for a, (t, f) in ac_bits.items()},
-        )
-        for b in range(n_blocks)
-    ]
-    return Layout(descs, sizes)
+        may_true[bids[m], j] = True
+        may_false[bids[~m], j] = True
+    space = Space(
+        {c: j for j, c in enumerate(num)},
+        {c: (int(off), schema[c].cardinality) for c, off in zip(cat, offsets)},
+        {a: j for j, a in enumerate(acs)},
+    )
+    return Layout(Blocks(space, lo, hi, masks, may_true, may_false), sizes)

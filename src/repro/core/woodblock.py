@@ -16,6 +16,8 @@ Tree-structured MDP exactly as the paper defines it:
 Each episode builds a whole tree with :func:`repro.core.greedy.grow`, the
 construction loop Greedy also uses; WOODBLOCK only supplies the chooser,
 which samples the policy over the legal cuts and records the transition.
+The cut matrix and the compiled workload (:mod:`.intersect`) are built
+once per call and shared by every episode.
 PPO updates the shared policy/value net after every ``BATCH_EPISODES``
 episodes and after the last one; the best tree seen —
 measured by the sample's description-based access fraction — is deployed
@@ -33,6 +35,7 @@ from ..rl.mlp import PolicyValueNet
 from ..rl.ppo import Batch, PPOTrainer
 from .description import Description
 from .greedy import CutMatrix, grow
+from .intersect import Space, Workload, compile_workload
 from .predicates import Node as QueryNode
 from .qdtree import QdTree, TreeNode
 from .schema import CATEGORICAL, TableSchema
@@ -104,18 +107,17 @@ def _episode(
     trainer: PPOTrainer,
     feat: Featurizer,
     cm: CutMatrix,
-    schema: TableSchema,
-    workload: Sequence[QueryNode],
+    root_desc: Description,
+    wl: Workload,
     b_sample: int,
     max_leaves: int,
-    ac_names: tuple[str, ...],
     deterministic: bool = False,
 ):
     """Build one tree from the current policy (sampled, or argmax when
     ``deterministic``); returns (root, transitions, rewards, access_fraction)."""
     transitions = []  # (obs, action, legal, logp, value, node)
 
-    def choose(node: TreeNode, idx: np.ndarray, active: list[int], n_open: int):
+    def choose(node: TreeNode, idx: np.ndarray, boxes: np.ndarray, n_open: int):
         if n_open >= max_leaves:
             return None
         legal, _ = cm.legal(idx, b_sample)
@@ -132,8 +134,8 @@ def _episode(
         transitions.append((obs, ci, legal, float(logp[0]), float(value[0]), node))
         return ci
 
-    root, leaves = grow(cm, schema, workload, ac_names, choose)
-    w = len(workload)
+    root, leaves = grow(cm, root_desc, wl, choose)
+    w = wl.n_queries
     accessed = sum(node.n_rows * nact for node, nact in leaves)
     fraction = accessed / (root.n_rows * w) if w else 0.0
 
@@ -166,6 +168,8 @@ def woodblock_qdtree(
     """
     cfg = config or WoodblockConfig()
     cm = CutMatrix.build(cuts, encoded_sample)
+    root_desc = Description.root(schema, tuple(ac_names))
+    wl = compile_workload(workload, Space.of(root_desc), cm.cuts)
     feat = Featurizer(schema, tuple(ac_names))
     net = PolicyValueNet(feat.dim, len(cm.cuts), seed=cfg.seed)
     trainer = PPOTrainer(net, lr=LR, ent_coef=ENT_COEF, seed=cfg.seed)
@@ -175,8 +179,7 @@ def woodblock_qdtree(
     pend: list[tuple] = []  # transitions since the last PPO update
     for ep in range(cfg.episodes):
         root, transitions, rewards, frac = _episode(
-            trainer, feat, cm, schema, workload,
-            b_sample, cfg.max_leaves, tuple(ac_names),
+            trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
         )
         if frac < best_frac:
             best_frac, best_root = frac, root
@@ -200,8 +203,8 @@ def woodblock_qdtree(
     # deterministic deployment rollout: the argmax-policy tree is a strong
     # candidate once the policy has concentrated
     root, _, _, frac = _episode(
-        trainer, feat, cm, schema, workload,
-        b_sample, cfg.max_leaves, tuple(ac_names), deterministic=True,
+        trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
+        deterministic=True,
     )
     if frac < best_frac:
         best_frac, best_root = frac, root

@@ -13,7 +13,6 @@ from repro.core.predicates import (
     Pred,
     eval_mask,
     atoms,
-    referenced_columns,
     to_sql,
 )
 from repro.core.schema import infer_schema
@@ -143,11 +142,6 @@ def test_adv_sql(frame):
     con.close()
     assert n_pos == int(eval_mask(ac, enc).sum())
     assert n_pos + n_neg == len(pdf)
-
-
-def test_referenced_columns():
-    q = And([Pred("a", "<", 1), Or([Pred("b", ">", 2), AdvPred("z", "a", "<", "b")])])
-    assert referenced_columns(q) == frozenset({"a", "b", "ac:z"})
 
 
 def test_iter_unary_preds():
