@@ -21,10 +21,11 @@ The two operations that matter:
   (false positive ⇒ wasted scan) but never ``False`` for a block that
   contains a matching row (which would lose results). Each atom of the
   query's AND/OR tree tests only its own field: a range atom one interval,
-  a categorical atom one mask, an AC atom one bit. Construction, scoring
-  and routing use the compiled kernel of :mod:`.intersect`, which gives
-  the same answers in bulk; this walk is the reference it is tested
-  against.
+  a categorical atom one mask, an AC atom one bit.
+
+Construction, scoring and routing hold descriptions as
+:class:`~.intersect.Blocks` rows; this form is their tested reference,
+the root's value, overlap's regions and :func:`~.qdtree.block_description`.
 """
 from __future__ import annotations
 

@@ -1,10 +1,10 @@
 """Qd-tree construction loop and Greedy (paper Algorithm 1, Sec 4).
 
 Greedy and WOODBLOCK (Sec 5) run the same process: a node is described by
-its semantic description, an action is a cut, and applying the cut yields
-the two children. :func:`grow` is that process, coded once. It expands
-nodes breadth-first and asks a *chooser* for each node's cut, or ``None``
-to make it a leaf; :meth:`CutMatrix.legal` is the one rule for which cuts a
+its semantic description (a one-row :class:`~.intersect.Blocks`), an
+action is a cut, and applying the cut yields the two children. :func:`grow`
+is that process, coded once. It expands nodes breadth-first and asks a
+*chooser* for each node's cut, or ``None`` to make it a leaf; :meth:`CutMatrix.legal` is the one rule for which cuts a
 chooser may pick. Greedy's chooser takes the legal cut maximising the
 increase in skipped tuples ``C(T ⊕ (p, n)) − C(T)`` and stops at a leaf
 when no cut gives a strictly positive gain; WOODBLOCK's samples its policy.
@@ -31,8 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import pandas as pd
 
-from .description import Description
-from .intersect import Space, Workload, compile_workload
+from .intersect import Blocks, Workload, compile_workload
 from .predicates import Node as QueryNode
 from .predicates import eval_mask
 from .qdtree import QdTree, TreeNode
@@ -88,11 +87,12 @@ class CutMatrix:
 
 def grow(
     cm: CutMatrix,
-    root_desc: Description,
+    root_desc: Blocks,
     wl: Workload,
     choose: Callable[[TreeNode, np.ndarray, np.ndarray, int], Optional[int]],
 ) -> tuple[TreeNode, list[tuple[TreeNode, int]]]:
-    """Build a tree over the rows of ``cm`` from ``root_desc``, breadth-first.
+    """Build a tree over the rows of ``cm`` from the one-row ``root_desc``,
+    breadth-first.
 
     ``wl`` is the workload compiled with ``cm``'s cuts. ``choose(node, idx,
     boxes, n_open)`` gets a node, its row indices, its active boxes (the
@@ -112,8 +112,9 @@ def grow(
         if ci is None:
             leaves.append((node, wl.n_active(boxes)))
             continue
-        b_l, b_r = wl.split(node.desc, boxes, ci)
         left, right = node.split(cm.cuts[ci])
+        held = wl.box_truth(Blocks.stack([left.desc, right.desc]), boxes)
+        b_l, b_r = boxes[held[0]], boxes[held[1]]
         m = cm.masks[idx, ci]
         queue.append((left, idx[m], b_l))
         queue.append((right, idx[~m], b_r))
@@ -136,8 +137,8 @@ def greedy_qdtree(
     can be carved out for replication into neighbors.
     """
     cm = CutMatrix.build(cuts, encoded)
-    root = Description.root(schema, ac_names)
-    wl = compile_workload(workload, Space.of(root), cm.cuts)
+    root = Blocks.root(schema, ac_names)
+    wl = compile_workload(workload, root.space, cm.cuts)
 
     def choose(node: TreeNode, idx: np.ndarray, boxes: np.ndarray, n_open: int):
         """First cut with the strictly largest positive gain, where

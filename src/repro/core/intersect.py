@@ -1,18 +1,20 @@
-"""Compiled description × query intersection (Sec 3.3, 4, 5, Eq. 1).
+"""Descriptions as arrays, and their intersection with queries (Sec 3.3,
+4, 5, Eq. 1).
 
+:class:`Blocks` holds semantic descriptions (Table 1) as rows: ``lo``/``hi``
+per numeric column, the categorical masks side by side, and the may-true /
+may-false bits of every advanced cut (AC), in the one column layout
+:meth:`Space.of` gives a schema. A tree node holds one row;
+:meth:`Blocks.split` restricts it by both sides of a cut, each side itself
+a row of the bounds and bits it keeps. :class:`~.description.Description`
+and its walk of a query's AND/OR tree are the reference for these arrays.
 Greedy's gain, WOODBLOCK's active queries, Table-2 scoring and query
-routing all ask one question: may a block described by a
-:class:`~.description.Description` hold a row matching a query? The
-description's own walk of the query's AND/OR tree answers it for one pair
-and is the reference the tests hold this module to. This module answers it
-for every pair at once:
+routing all ask whether a block may hold a row matching a query; this
+module answers it for every pair at once:
 
 * :func:`compile_workload` maps the queries to *atoms*, their distinct leaf
   predicates, and *boxes*, the conjunctions of each query's disjunctive
   normal form, with a box → query map;
-* :class:`Blocks` holds a set of descriptions as arrays: ``lo``/``hi`` per
-  numeric column, the categorical masks side by side, and the may-true /
-  may-false bits of every advanced cut (AC);
 * :meth:`Workload.box_truth` tests every (description, atom) pair exactly
   as the walk tests that atom — a range atom its interval, a categorical
   atom its mask, an AC atom one bit — and reduces atom truth to boxes with
@@ -23,46 +25,46 @@ For boolean atom values that is the walk's AND/OR tree, so every answer
 equals the walk's, atom by atom: ``x < 1 AND x > 5`` still intersects any
 interval that admits either conjunct alone.
 
-The compiled workload also carries the effect of every candidate cut on a
-description (:meth:`Description.restrict` as bounds and kept bits), so
-Greedy gets the active-query counts of both children of every legal cut
-in one batch (:meth:`Workload.split_counts`): the children become the rows
-of one :class:`Blocks`, tested against the node's active boxes only. A
+The compiled workload also carries both sides of every candidate cut
+(:meth:`Description.restrict` as bounds and kept bits), so Greedy gets the
+active-query counts of both children of every legal cut in one batch
+(:meth:`Workload.split_counts`): the children become the rows of one
+:class:`Blocks`, tested against the node's active boxes only. A
 restriction never makes an atom true, so a box that fails at a node fails
 in both its children; and as a cut on column ``j`` changes only the atoms
 on ``j``, an active box holds in a child iff the child's atoms on ``j`` do.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .description import Description, Interval
 from .predicates import AdvPred, And, Or, Pred
+from .schema import TableSchema
 
 
 @dataclass
 class Space:
-    """Array layout of a family of descriptions with the same fields."""
+    """Array layout of the descriptions over one schema and set of ACs."""
 
     num: dict  # numeric column -> index into lo/hi
     cat: dict  # categorical column -> (offset, cardinality) in a mask row
     ac: dict  # AC name -> index into may_true/may_false
-    width: int = field(init=False)  # Σ cardinalities: the length of a mask row
-
-    def __post_init__(self):
-        self.width = sum(card for _, card in self.cat.values())
+    width: int  # Σ cardinalities: the length of a mask row
 
     @staticmethod
-    def of(desc: Description) -> "Space":
+    def of(schema: TableSchema, ac_names: Sequence[str] = ()) -> "Space":
+        """Numeric and date columns in schema order, then the categorical
+        masks side by side in schema order, then the ACs."""
         cat, off = {}, 0
-        for name, m in desc.masks.items():
-            cat[name] = (off, len(m))
-            off += len(m)
-        return Space({c: i for i, c in enumerate(desc.ranges)}, cat,
-                     {a: i for i, a in enumerate(desc.acs)})
+        for name in schema.categorical_cols:
+            cat[name] = (off, schema[name].cardinality)
+            off += schema[name].cardinality
+        return Space({c: j for j, c in enumerate(schema.numeric_cols)}, cat,
+                     {a: j for j, a in enumerate(ac_names)}, off)
 
 
 @dataclass
@@ -78,8 +80,7 @@ class Blocks:
     may_false: np.ndarray
 
     @staticmethod
-    def of(descs: Sequence[Description], space: Space | None = None) -> "Blocks":
-        space = space or Space.of(descs[0])
+    def of(descs: Sequence[Description], space: Space) -> "Blocks":
         n = len(descs)
         ranges = [[d.ranges[c] for c in space.num] for d in descs]
         acs = np.array([[d.acs[a] for a in space.ac] for d in descs], dtype=bool)
@@ -94,8 +95,44 @@ class Blocks:
             acs[:, :, 1],
         )
 
+    @staticmethod
+    def root(schema: TableSchema, ac_names: Sequence[str] = ()) -> "Blocks":
+        """The whole-table description as one row."""
+        return Blocks.of([Description.root(schema, ac_names)], Space.of(schema, ac_names))
+
+    @staticmethod
+    def stack(rows: Sequence["Blocks"]) -> "Blocks":
+        """The rows of several :class:`Blocks` over one space, in order."""
+        return Blocks(rows[0].space, *map(np.concatenate, zip(*(r._arrays for r in rows))))
+
+    @property
+    def _arrays(self) -> tuple:
+        return self.lo, self.hi, self.masks, self.may_true, self.may_false
+
     def __len__(self) -> int:
         return len(self.lo)
+
+    def __getitem__(self, rows) -> "Blocks":
+        """The rows ``rows`` (a slice or an index array) as :class:`Blocks`."""
+        return Blocks(self.space, *(a[rows] for a in self._arrays))
+
+    def restrict(self, sides: "Blocks") -> "Blocks":
+        """Each row intersected with the matching row of ``sides`` (one row
+        broadcasts): :meth:`Description.restrict`, as arrays, where a side
+        of a cut is the row of the bounds and bits it keeps."""
+        return Blocks(
+            self.space,
+            np.maximum(self.lo, sides.lo),
+            np.minimum(self.hi, sides.hi),
+            self.masks & sides.masks,
+            self.may_true & sides.may_true,
+            self.may_false & sides.may_false,
+        )
+
+    def split(self, cut) -> "Blocks":
+        """Both children of a one-row description under ``cut``: row 0 is
+        the side where the cut holds, row 1 the other."""
+        return self.restrict(_cut_effects([cut], self.space))
 
     def descriptions(self) -> list[Description]:
         """The rows back as :class:`~.description.Description` objects."""
@@ -153,12 +190,7 @@ class Workload:
     box_atoms: np.ndarray  # (atoms, boxes) float32: atom in box
     box_query: np.ndarray  # (boxes, queries) float32: box of query
     box_q: np.ndarray  # (boxes,) query of each box, ascending
-    # effects of cut c: rows c (cut holds) and n_cuts + c (it does not)
-    cut_lo: np.ndarray  # (2·cuts, numeric columns) lower bound imposed
-    cut_hi: np.ndarray
-    cut_keep: np.ndarray  # (2·cuts, mask width) mask bits kept
-    cut_true: np.ndarray  # (2·cuts, ACs) may_true bit kept
-    cut_false: np.ndarray
+    sides: Blocks  # row c: where cut c holds; row n_cuts + c: where it does not
 
     # ------------------------------------------------------------- queries
     def truth(self, b: Blocks) -> np.ndarray:
@@ -188,44 +220,26 @@ class Workload:
         return np.flatnonzero(np.diff(self.box_q[boxes], prepend=-1))
 
     # ---------------------------------------------------------------- cuts
-    def children(self, desc: Description, cis: np.ndarray) -> Blocks:
-        """Both children of ``desc`` under each cut in ``cis``: row i is
-        the side where cut ``cis[i]`` holds, row ``len(cis) + i`` the other
-        (:meth:`Description.restrict`, as arrays)."""
-        p = Blocks.of([desc], self.space)
-        rows = np.concatenate([cis, cis + len(self.cut_lo) // 2])
-        return Blocks(
-            p.space,
-            np.maximum(p.lo, self.cut_lo[rows]),
-            np.minimum(p.hi, self.cut_hi[rows]),
-            p.masks & self.cut_keep[rows],
-            p.may_true & self.cut_true[rows],
-            p.may_false & self.cut_false[rows],
-        )
-
     def split_counts(
-        self, desc: Description, boxes: np.ndarray, cis: np.ndarray
+        self, desc: Blocks, boxes: np.ndarray, cis: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(|A_L|, |A_R|) per cut in ``cis``: active queries of both children
-        of a node with description ``desc`` and active boxes ``boxes``."""
-        held = self.box_truth(self.children(desc, cis), boxes)
+        of a node with the one-row description ``desc`` and active boxes
+        ``boxes``."""
+        kids = desc.restrict(self.sides[np.concatenate([cis, cis + len(self.sides) // 2])])
+        held = self.box_truth(kids, boxes)
         n = np.logical_or.reduceat(held, self._query_starts(boxes), axis=1).sum(axis=1)
         return n[: len(cis)], n[len(cis):]
 
-    def split(
-        self, desc: Description, boxes: np.ndarray, ci: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Active boxes of the left and right child of cut ``ci``."""
-        held = self.box_truth(self.children(desc, np.array([ci])))[:, boxes]
-        return boxes[held[0]], boxes[held[1]]
-
-    def active_boxes(self, desc: Description) -> np.ndarray:
-        return np.flatnonzero(self.box_truth(Blocks.of([desc], self.space))[0])
+    def active_boxes(self, desc: Blocks) -> np.ndarray:
+        """Boxes the one-row description ``desc`` intersects."""
+        return np.flatnonzero(self.box_truth(desc)[0])
 
 
-def _cut_effects(cuts: Sequence, space: Space):
-    """Per cut and side, the bounds and kept bits that
-    :meth:`Description.restrict` applies."""
+def _cut_effects(cuts: Sequence, space: Space) -> Blocks:
+    """Both sides of every cut as rows: the bounds and kept bits that
+    :meth:`Description.restrict` applies, row c where cut c holds and row
+    ``len(cuts) + c`` where it does not."""
     n, full = len(cuts), Interval()
     lo = np.full((2 * n, len(space.num)), -np.inf)
     hi = np.full((2 * n, len(space.num)), np.inf)
@@ -251,7 +265,7 @@ def _cut_effects(cuts: Sequence, space: Space):
             keep_f[pos, j], keep_t[neg, j] = False, False
         else:
             raise TypeError(f"cannot restrict by {cut!r}")
-    return lo, hi, keep, keep_t, keep_f
+    return Blocks(space, lo, hi, keep, keep_t, keep_f)
 
 
 def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Workload:
@@ -298,5 +312,5 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
         np.array([space.ac[a.name] for a in ac], dtype=np.int64),
         np.array([a.negated for a in ac], dtype=bool),
         box_atoms, box_query, np.array([qi for qi, _ in boxes], dtype=np.int64),
-        *_cut_effects(cuts, space),
+        _cut_effects(cuts, space),
     )

@@ -152,7 +152,8 @@ def build_overlap_layout(
     every neighbor large leaf, enlarging the neighbors' regions (Sec 6.2).
     Min-max stats are then computed from each block's final rows."""
     bids = tree.route(encoded)
-    regions = [lf.desc for lf in tree.leaves]
+    original = tree.blocks.descriptions()
+    regions = list(original)
     rows = [np.flatnonzero(bids == lf.bid) for lf in tree.leaves]
     small = [i for i, r in enumerate(rows) if len(r) < b]
     large = [i for i, r in enumerate(rows) if len(r) >= b]
@@ -160,7 +161,7 @@ def build_overlap_layout(
     for s in small:
         for g in large:
             # neighbor test against the large block's ORIGINAL description
-            if are_neighbors(regions[s], tree.leaves[g].desc):
+            if are_neighbors(regions[s], original[g]):
                 regions[g] = _merge_along(regions[g], regions[s])
                 rows[g] = np.concatenate([rows[g], rows[s]])
                 extra += len(rows[s])

@@ -18,10 +18,12 @@ Data routing is exposed three ways:
 * the same expression doubles as the partitioning *function* required by
   Problem 2 (new tuples route without reshuffling).
 
-Query routing (:meth:`QdTree.query_bids`) tests the query against the leaf
-descriptions, held as arrays (:class:`~.intersect.Blocks`) built once per
-tree, and returns the intersecting BIDs, which callers inject as
-``bid IN (...)`` (Sec 3.3). The :class:`Layout` that :func:`block_stats`
+Each node holds its semantic description as one row of a
+:class:`~.intersect.Blocks`; :meth:`TreeNode.split` restricts it by the
+two sides of the cut. Query routing (:meth:`QdTree.query_bids`) tests the
+query against the leaf rows, stacked once per tree in BID order, and
+returns the intersecting BIDs, which callers inject as ``bid IN (...)``
+(Sec 3.3). The :class:`Layout` that :func:`block_stats`
 builds routes by the min-max stats of each block's rows instead (Sec 3.2).
 """
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _eval_cut_idx(cut, cols: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarr
 class TreeNode:
     """One qd-tree node; ``cut is None`` ⇔ leaf."""
 
-    desc: Description
+    desc: Blocks  # the node's description, one row
     cut: object = None
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
@@ -72,8 +74,8 @@ class TreeNode:
         """Cut this leaf; returns the (left, right) children."""
         assert self.is_leaf, "cannot split an internal node"
         self.cut = cut
-        self.left = TreeNode(self.desc.restrict(cut, True))
-        self.right = TreeNode(self.desc.restrict(cut, False))
+        kids = self.desc.split(cut)
+        self.left, self.right = TreeNode(kids[:1]), TreeNode(kids[1:])
         return self.left, self.right
 
 
@@ -84,7 +86,7 @@ class QdTree:
     root: TreeNode
     schema: TableSchema
     leaves: list[TreeNode]
-    blocks: Blocks  # the leaf descriptions as arrays, in BID order
+    blocks: Blocks  # the leaf descriptions, in BID order
 
     @staticmethod
     def build(root: TreeNode, schema: TableSchema) -> "QdTree":
@@ -100,15 +102,11 @@ class QdTree:
                 visit(n.right)
 
         visit(root)
-        return QdTree(root, schema, leaves, Blocks.of([lf.desc for lf in leaves]))
+        return QdTree(root, schema, leaves, Blocks.stack([lf.desc for lf in leaves]))
 
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * len(self.leaves) - 1
 
     @property
     def depth(self) -> int:
@@ -202,11 +200,6 @@ class Layout:
     blocks: Blocks
     sizes: np.ndarray
 
-    @property
-    def stats(self) -> list[Description]:
-        """The per-block stats as descriptions."""
-        return self.blocks.descriptions()
-
     def query_bids(self, query: QueryNode) -> list[int]:
         """Blocks whose stats may intersect ``query``."""
         return self.blocks.query_bids(query)
@@ -238,16 +231,15 @@ def block_stats(
     present = np.flatnonzero(sizes)
     # reduceat over empty segments would return a neighbour's value
     starts = (np.cumsum(sizes) - sizes)[present]
-    num = [c for c, spec in schema.columns.items() if spec.kind != CATEGORICAL]
-    cat = [c for c, spec in schema.columns.items() if spec.kind == CATEGORICAL]
-    offsets = np.cumsum([0] + [schema[c].cardinality for c in cat])
-    lo, hi = np.full((n_blocks, len(num)), 1.0), np.full((n_blocks, len(num)), 0.0)  # empty
-    for j, name in enumerate(num):
+    space = Space.of(schema, tuple(acs))
+    lo = np.full((n_blocks, len(space.num)), 1.0)  # empty: lo > hi
+    hi = np.full((n_blocks, len(space.num)), 0.0)
+    for name, j in space.num.items():
         col = encoded[name].to_numpy()[order]
         lo[present, j] = np.minimum.reduceat(col, starts)
         hi[present, j] = np.maximum.reduceat(col, starts)
-    masks = np.zeros((n_blocks, offsets[-1]), dtype=bool)
-    for name, off in zip(cat, offsets):
+    masks = np.zeros((n_blocks, space.width), dtype=bool)
+    for name, (off, _) in space.cat.items():
         masks[bids, off + encoded[name].to_numpy().astype(int)] = True
     may_true = np.zeros((n_blocks, len(acs)), dtype=bool)
     may_false = np.zeros((n_blocks, len(acs)), dtype=bool)
@@ -255,9 +247,4 @@ def block_stats(
         m = eval_mask(pred, encoded)
         may_true[bids[m], j] = True
         may_false[bids[~m], j] = True
-    space = Space(
-        {c: j for j, c in enumerate(num)},
-        {c: (int(off), schema[c].cardinality) for c, off in zip(cat, offsets)},
-        {a: j for j, a in enumerate(acs)},
-    )
     return Layout(Blocks(space, lo, hi, masks, may_true, may_false), sizes)

@@ -13,8 +13,7 @@ whose access fraction under T1 exceeds what the better half achieves
 exactly those. This matches the paper's intent — "this change naturally
 guides the construction of the second tree to focus on the queries with
 low skippability by T1" — while reusing the unmodified builders. The
-iterate-until-convergence refinement the paper sketches is exposed via
-``rounds``.
+iterate-until-convergence refinement the paper sketches is not built.
 """
 from __future__ import annotations
 
@@ -60,16 +59,10 @@ def two_tree_layout(
     workload: Sequence[Node],
     build: Callable[[Sequence[Node]], QdTree],
     acs: dict | None = None,
-    rounds: int = 1,
 ) -> TwoTreeLayout:
     """Build (T1, T2) per Sec 6.3. ``build(queries)`` constructs one
     qd-tree optimised for the given query subset (e.g. a greedy_qdtree or
-    woodblock closure); ``rounds`` > 1 re-optimises T1 against T2 etc.
-
-    The revised objective Σ_q max(skip under T1, skip under T2) is
-    monotone non-decreasing across rounds (each rebuild only replaces a
-    tree if the combined objective improves), so iteration converges —
-    the paper's convergence argument."""
+    woodblock closure)."""
     t1 = build(list(workload))
     a1 = per_query_accessed(encoded, t1.route(encoded), schema, workload, acs)
     # worst-skippability set: queries above the median access under T1
@@ -78,15 +71,6 @@ def two_tree_layout(
     worst = [q for q, a in zip(workload, a1) if a >= max(thresh, 1)]
     t2 = build(worst if worst else list(workload))
     a2 = per_query_accessed(encoded, t2.route(encoded), schema, workload, acs)
-
-    for _ in range(rounds - 1):
-        # re-optimise T1 for the queries T2 serves badly, keep if better
-        worst2 = [q for q, a in zip(workload, a2) if a >= max(np.median(a2), 1)]
-        cand = build(worst2 if worst2 else list(workload))
-        ac = per_query_accessed(encoded, cand.route(encoded), schema, workload, acs)
-        if np.minimum(ac, a2).sum() < np.minimum(a1, a2).sum():
-            t1, a1 = cand, ac
-
     return TwoTreeLayout(
         tree1=t1,
         tree2=t2,

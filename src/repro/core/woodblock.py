@@ -4,7 +4,8 @@ Tree-structured MDP exactly as the paper defines it:
 
 * **state** — a node's semantic description, featurised as the
   concatenation of its (normalised) range hypercube, categorical masks and
-  AC bits;
+  AC bits; :class:`Featurizer` reads them from the node's
+  :class:`~.intersect.Blocks` row with array operations, in schema order;
 * **action** — one of the candidate cuts; a cut is *legal* on a node iff
   both resulting children hold ≥ ``b_sample`` records of the construction
   sample (Sec 5.2.1, :meth:`~repro.core.greedy.CutMatrix.legal`) — when no
@@ -33,50 +34,51 @@ import pandas as pd
 
 from ..rl.mlp import PolicyValueNet
 from ..rl.ppo import Batch, PPOTrainer
-from .description import Description
 from .greedy import CutMatrix, grow
-from .intersect import Space, Workload, compile_workload
+from .intersect import Blocks, Space, Workload, compile_workload
 from .predicates import Node as QueryNode
 from .qdtree import QdTree, TreeNode
-from .schema import CATEGORICAL, TableSchema
+from .schema import TableSchema
 
 
 # ------------------------------------------------------------- featurizer
 @dataclass
 class Featurizer:
-    """Maps a node Description to the fixed-size float state vector."""
+    """Maps description rows to fixed-size float state vectors: per schema
+    column, its mask bits (categorical) or its ``lo``, ``hi`` scaled to the
+    column's domain and clipped to [0, 1] (numeric, date); then per AC its
+    may-true and may-false bits."""
 
     schema: TableSchema
     ac_names: tuple[str, ...]
     dim: int = field(init=False)
+    _lo: np.ndarray = field(init=False, repr=False)  # domain low per numeric column
+    _span: np.ndarray = field(init=False, repr=False)
+    _order: np.ndarray = field(init=False, repr=False)  # state position -> stacked field
 
     def __post_init__(self):
-        d = 0
-        for name, spec in self.schema.columns.items():
-            d += spec.cardinality if spec.kind == CATEGORICAL else 2
-        d += 2 * len(self.ac_names)
-        self.dim = d
-
-    def __call__(self, desc: Description) -> np.ndarray:
-        out = np.empty(self.dim, dtype=np.float64)
-        i = 0
-        for name, spec in self.schema.columns.items():
-            if spec.kind == CATEGORICAL:
-                k = spec.cardinality
-                out[i : i + k] = desc.masks[name]
-                i += k
+        sp = Space.of(self.schema, self.ac_names)
+        k, w, a = len(sp.num), sp.width, len(sp.ac)
+        dom = np.array([self.schema[c].domain for c in sp.num], dtype=float).reshape(k, 2)
+        self._lo, self._span = dom[:, 0], np.maximum(dom[:, 1] - dom[:, 0], 1e-12)
+        # stacked fields: lo (k), hi (k), masks (w), may_true (a), may_false (a)
+        order = []
+        for name in self.schema.columns:
+            if name in sp.num:
+                order += [sp.num[name], k + sp.num[name]]
             else:
-                lo, hi = spec.domain
-                span = max(float(hi) - float(lo), 1e-12)
-                iv = desc.ranges[name]
-                out[i] = np.clip((iv.lo - lo) / span, 0.0, 1.0)
-                out[i + 1] = np.clip((iv.hi - lo) / span, 0.0, 1.0)
-                i += 2
-        for n in self.ac_names:
-            mt, mf = desc.acs[n]
-            out[i], out[i + 1] = float(mt), float(mf)
-            i += 2
-        return out
+                off, card = sp.cat[name]
+                order += range(2 * k + off, 2 * k + off + card)
+        order += [2 * k + w + j + s for j in range(a) for s in (0, a)]
+        self._order = np.array(order, dtype=np.int64)
+        self.dim = len(order)
+
+    def __call__(self, b: Blocks) -> np.ndarray:
+        """(rows, dim) float64: the state of each row of ``b``."""
+        lo = np.clip((b.lo - self._lo) / self._span, 0.0, 1.0)
+        hi = np.clip((b.hi - self._lo) / self._span, 0.0, 1.0)
+        return np.concatenate([lo, hi, b.masks, b.may_true, b.may_false], axis=1,
+                              dtype=np.float64)[:, self._order]
 
 
 # PPO settings (paper defaults scaled down). The hidden width (128), clip
@@ -107,7 +109,7 @@ def _episode(
     trainer: PPOTrainer,
     feat: Featurizer,
     cm: CutMatrix,
-    root_desc: Description,
+    root_desc: Blocks,
     wl: Workload,
     b_sample: int,
     max_leaves: int,
@@ -123,7 +125,7 @@ def _episode(
         legal, _ = cm.legal(idx, b_sample)
         if not legal.any():
             return None
-        obs = feat(node.desc)
+        obs = feat(node.desc)[0]
         if deterministic:
             logits, values, _ = trainer.net.forward(obs[None, :])
             masked = np.where(legal[None, :], logits, -np.inf)
@@ -168,8 +170,8 @@ def woodblock_qdtree(
     """
     cfg = config or WoodblockConfig()
     cm = CutMatrix.build(cuts, encoded_sample)
-    root_desc = Description.root(schema, tuple(ac_names))
-    wl = compile_workload(workload, Space.of(root_desc), cm.cuts)
+    root_desc = Blocks.root(schema, ac_names)
+    wl = compile_workload(workload, root_desc.space, cm.cuts)
     feat = Featurizer(schema, tuple(ac_names))
     net = PolicyValueNet(feat.dim, len(cm.cuts), seed=cfg.seed)
     trainer = PPOTrainer(net, lr=LR, ent_coef=ENT_COEF, seed=cfg.seed)

@@ -289,16 +289,3 @@ def test_per_query_accessed_matches_evaluate(tpch_bundle, tpch_tree):
     per_q = per_query_accessed(enc, bids, sch, W, acs=tpch_bundle.acs)
     total = evaluate_layout(enc, bids, sch, W, acs=tpch_bundle.acs)
     assert per_q.sum() == total.tuples_accessed
-
-
-def test_two_tree_rounds_monotone(tpch_bundle, tpch_cuts):
-    enc, sch = tpch_bundle.encoded, tpch_bundle.schema
-    W = asts(tpch_bundle.queries)
-
-    def build(queries):
-        return greedy_qdtree(enc, sch, tpch_cuts, queries, 300,
-                             ac_names=tpch_bundle.ac_names)
-
-    one = two_tree_layout(enc, sch, W, build, acs=tpch_bundle.acs, rounds=1)
-    two = two_tree_layout(enc, sch, W, build, acs=tpch_bundle.acs, rounds=2)
-    assert two.tuples_accessed <= one.tuples_accessed

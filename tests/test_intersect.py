@@ -18,6 +18,7 @@ from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks, Space, compile_workload
 from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.qdtree import block_stats
+from repro.core.schema import CATEGORICAL, NUMERIC, ColumnSpec, TableSchema
 from repro.core.woodblock import WoodblockConfig, woodblock_qdtree
 from repro.workloads import asts
 
@@ -42,7 +43,7 @@ def bundle_trees(request):
 def test_tree_routing_matches_walk(bundle_trees):
     _, W, trees = bundle_trees
     for name, tree in trees.items():
-        want = _walk([lf.desc for lf in tree.leaves], W)
+        want = _walk(tree.blocks.descriptions(), W)
         assert np.array_equal(tree.blocks.intersects(W), want), name
         assert [tree.query_bids(q) for q in W] == [np.flatnonzero(c).tolist() for c in want.T]
 
@@ -57,16 +58,48 @@ def test_layout_routing_matches_walk(bundle_trees):
         n_blocks = tree.n_leaves + 2
         layout = block_stats(enc[keep], bids[keep], bd.schema, bd.acs, n_blocks)
         assert (layout.sizes[[0, tree.n_leaves // 2, -2, -1]] == 0).all()
-        want = _walk(layout.stats, W)
+        want = _walk(layout.blocks.descriptions(), W)
         assert np.array_equal(layout.blocks.intersects(W), want), name
         assert [layout.query_bids(q) for q in W] == [np.flatnonzero(c).tolist() for c in want.T]
         assert [layout.accessed(q) for q in W] == (layout.sizes @ want).tolist()
         full = block_stats(enc, bids, bd.schema, bd.acs, tree.n_leaves)
         assert (per_query_accessed(enc, bids, bd.schema, W, bd.acs).tolist()
-                == (full.sizes @ _walk(full.stats, W)).tolist())
+                == (full.sizes @ _walk(full.blocks.descriptions(), W)).tolist())
+
+
+def _leaf_paths(node, path=()):
+    """(leaf, [(cut, side), ...] from the root) for every leaf below ``node``."""
+    if node.is_leaf:
+        return [(node, path)]
+    return (_leaf_paths(node.left, path + ((node.cut, True),))
+            + _leaf_paths(node.right, path + ((node.cut, False),)))
+
+
+def test_leaf_rows_match_restrict_walk(bundle_trees):
+    """Each leaf's row in ``tree.blocks`` is the root description restricted
+    by every cut side on its root-to-leaf path."""
+    bd, _, trees = bundle_trees
+    root = Description.root(bd.schema, bd.ac_names)
+    for name, tree in trees.items():
+        rows = tree.blocks.descriptions()
+        for leaf, path in _leaf_paths(tree.root):
+            want = root
+            for cut, side in path:
+                want = want.restrict(cut, side)
+            got = rows[leaf.bid]
+            assert got.ranges == want.ranges and got.acs == want.acs, (name, leaf.bid)
+            assert got.masks.keys() == want.masks.keys()
+            for col, m in want.masks.items():
+                assert np.array_equal(got.masks[col], m), (name, leaf.bid, col)
 
 
 # --------------------------------------------------- semantic traps, by hand
+SCHEMA = TableSchema({
+    "a": ColumnSpec("a", NUMERIC, (0.0, 10.0)),
+    "b": ColumnSpec("b", NUMERIC, (0.0, 10.0)),
+    "c": ColumnSpec("c", CATEGORICAL, (0, 1, 2, 3)),
+})
+ABC_SPACE = Space.of(SCHEMA, ("u",))
 SPACE = dict(
     ranges={"a": Interval(0.0, 10.0), "b": Interval(0.0, 10.0)},
     masks={"c": np.array([True, True, True, False])},
@@ -121,7 +154,7 @@ TRAPS = [
 @pytest.mark.parametrize("desc, q, want", TRAPS)
 def test_semantic_traps(desc, q, want):
     assert desc.may_intersect(q) is want
-    assert Blocks.of([desc]).intersects([q]).tolist() == [[want]]
+    assert Blocks.of([desc], ABC_SPACE).intersects([q]).tolist() == [[want]]
 
 
 # ----------------------------------------------- random descriptions, queries
@@ -156,7 +189,7 @@ QUERIES = st.recursive(
 @given(st.lists(DESCS, min_size=1, max_size=6), st.lists(QUERIES, min_size=1, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_walk(descs, W):
-    blocks = Blocks.of(descs)
+    blocks = Blocks.of(descs, ABC_SPACE)
     want = _walk(descs, W)
     assert np.array_equal(blocks.intersects(W), want)
     for q, col in zip(W, want.T):
@@ -177,23 +210,30 @@ def test_split_counts_match_restrict_walk(tpch_bundle):
     acs = [c for c in extract_cuts(W) if isinstance(c, AdvPred)]
     cuts = extract_cuts(W) + [acs[0].negate()]  # a negated AC cut too
     root = Description.root(bd.schema, bd.ac_names)
-    wl = compile_workload(W, Space.of(root), cuts)
+    space = Space.of(bd.schema, bd.ac_names)
+    wl = compile_workload(W, space, cuts)
     rng = np.random.default_rng(0)
     cis = np.arange(len(cuts))
     for _ in range(12):
         desc = root
         for ci in rng.choice(len(cuts), size=rng.integers(0, 7)):
             desc = desc.restrict(cuts[ci], bool(rng.integers(2)))
+        row = Blocks.of([desc], space)
         active = [qi for qi, q in enumerate(W) if desc.may_intersect(q)]
-        boxes = wl.active_boxes(desc)
+        boxes = wl.active_boxes(row)
         assert wl.n_active(boxes) == len(active)
-        a_l, a_r = wl.split_counts(desc, boxes, cis)
+        a_l, a_r = wl.split_counts(row, boxes, cis)
         for ci, cut in enumerate(cuts):
             ld, rd = desc.restrict(cut, True), desc.restrict(cut, False)
             ref_l, ref_r = split_active(ld, rd, active, W)
             assert (a_l[ci], a_r[ci]) == (len(ref_l), len(ref_r)), cut
             if ci % 10 == 0:
-                b_l, b_r = wl.split(desc, boxes, ci)
-                assert (wl.n_active(b_l), wl.n_active(b_r)) == (len(ref_l), len(ref_r))
-                assert np.array_equal(b_l, wl.active_boxes(ld))
-                assert np.array_equal(b_r, wl.active_boxes(rd))
+                kids = row.split(cut)
+                for got, want in zip(kids.descriptions(), (ld, rd)):
+                    assert got.ranges == want.ranges and got.acs == want.acs, cut
+                assert np.array_equal(kids.masks, Blocks.of([ld, rd], space).masks)
+                # grow tests the children against the node's active boxes only
+                held = wl.box_truth(kids, boxes)
+                for b_kid, d in zip(held, (ld, rd)):
+                    assert np.array_equal(boxes[b_kid],
+                                          wl.active_boxes(Blocks.of([d], space)))

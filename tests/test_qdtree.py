@@ -6,8 +6,9 @@ import pandas as pd
 import pytest
 
 from repro.core.cost import evaluate_layout
-from repro.core.description import Description, Interval
+from repro.core.description import Interval
 from repro.core.greedy import greedy_qdtree
+from repro.core.intersect import Blocks
 from repro.core.predicates import AdvPred, And, Pred, eval_mask
 from repro.core.qdtree import QdTree, TreeNode, block_description, block_stats
 from repro.core.schema import infer_schema
@@ -17,7 +18,7 @@ from repro.workloads import asts
 @pytest.fixture(scope="module")
 def manual_tree(tiny2d_module):
     pdf, sch, enc = tiny2d_module
-    root = TreeNode(Description.root(sch))
+    root = TreeNode(Blocks.root(sch))
     l, r = root.split(Pred("cpu", "<", 50.0))
     l.split(Pred("disk", "<", 0.5))
     return QdTree.build(root, sch), enc
@@ -38,7 +39,6 @@ def test_build_numbers_leaves_left_to_right(manual_tree):
     tree, _ = manual_tree
     assert tree.n_leaves == 3
     assert [lf.bid for lf in tree.leaves] == [0, 1, 2]
-    assert tree.n_nodes == 5
     assert tree.depth == 3
 
 
@@ -69,7 +69,7 @@ def test_completeness_every_row_satisfies_its_leaf(manual_tree):
         # evaluate the leaf's range description as a data predicate; for a
         # pure range tree it must coincide exactly with leaf membership
         m = np.ones(len(enc), dtype=bool)
-        for col, iv in lf.desc.ranges.items():
+        for col, iv in lf.desc.descriptions()[0].ranges.items():
             v = enc[col].to_numpy()
             m &= (iv.lo <= v) & (v <= iv.hi)
         assert (m == in_leaf).all()
@@ -94,11 +94,11 @@ def test_query_bids_rows_outside_domain():
     pdf = pd.DataFrame({"x": [10.0, 20.0, 200.0, 200.0], "y": [1.0, 50.0, 2.0, 60.0]})
     sch = infer_schema(pdf, domains={"x": (0.0, 100.0), "y": (0.0, 100.0)})
     enc = sch.encode(pdf)
-    root = TreeNode(Description.root(sch))
+    root = TreeNode(Blocks.root(sch))
     root.split(Pred("x", ">", 150.0))
     tree = QdTree.build(root, sch)
     assert tree.route(enc).tolist() == [1, 1, 0, 0]
-    assert tree.leaves[0].desc.ranges["x"].is_empty()
+    assert tree.blocks.descriptions()[0].ranges["x"].is_empty()
     assert tree.query_bids(Pred("y", "<", 10.0)) == [0, 1]
     # Still lost: the root range is clamped to the domain, so no leaf
     # admits x > 150 although bid 0 holds such rows.
@@ -122,10 +122,11 @@ def test_layout_stats_within_leaf_regions(manual_tree):
     tree, enc = manual_tree
     bids = tree.route(enc)
     layout = block_stats(enc, bids, tree.schema, {}, tree.n_leaves)
-    for lf, stats, size in zip(tree.leaves, layout.stats, layout.sizes):
+    regions = tree.blocks.descriptions()
+    for region, stats, size in zip(regions, layout.blocks.descriptions(), layout.sizes):
         for col, iv in stats.ranges.items():
-            assert iv.lo >= lf.desc.ranges[col].lo - 1e-9
-            assert iv.hi <= lf.desc.ranges[col].hi + 1e-9
+            assert iv.lo >= region.ranges[col].lo - 1e-9
+            assert iv.hi <= region.ranges[col].hi + 1e-9
         assert size > 0
     # routing by the stats stays sound
     q = And([Pred("cpu", "<", 30.0), Pred("disk", ">", 0.8)])
@@ -149,7 +150,7 @@ def test_block_stats_matches_block_description(tpch_bundle, tpch_tree):
     bids = tpch_tree.route(enc)
     n_blocks = tpch_tree.n_leaves + 2  # the last two ids hold no rows
     layout = block_stats(enc, bids, sch, acs, n_blocks)
-    descs, sizes = layout.stats, layout.sizes
+    descs, sizes = layout.blocks.descriptions(), layout.sizes
     assert len(descs) == n_blocks
     assert (sizes == np.bincount(bids, minlength=n_blocks)).all()
     for b, desc in enumerate(descs):
@@ -168,7 +169,7 @@ def test_layout_block_without_rows(manual_tree):
     rows = enc[enc["cpu"] >= 50.0]  # misses leaves 0 and 1
     layout = block_stats(rows, tree.route(rows), tree.schema, {}, tree.n_leaves)
     assert layout.sizes.tolist() == [0, 0, len(rows)]
-    for stats in layout.stats[:2]:
+    for stats in layout.blocks.descriptions()[:2]:
         assert stats.ranges == {c: Interval(1.0, 0.0) for c in ("cpu", "disk")}
         assert stats.is_empty()
     for q in [Pred("cpu", "<", 100.0), Pred("disk", ">=", 0.0),

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
-from repro.core.description import Description
+from repro.core.description import Description, Interval
 from repro.core.greedy import greedy_qdtree
+from repro.core.intersect import Blocks, Space
 from repro.core.predicates import Or, Pred
+from repro.core.schema import CATEGORICAL, DATE, NUMERIC, ColumnSpec, TableSchema
 from repro.core.woodblock import Featurizer, WoodblockConfig, woodblock_qdtree
 from repro.experiments.table2 import make_bundle
 from repro.workloads import asts
@@ -22,17 +24,41 @@ def fig3(request):
 
 
 def test_featurizer_dim_and_values(tpch_bundle):
-    sch = tpch_bundle.schema
-    f = Featurizer(sch, tpch_bundle.ac_names)
-    root = Description.root(sch, tpch_bundle.ac_names)
-    v = f(root)
-    assert v.shape == (f.dim,)
-    assert np.isfinite(v).all()
+    """A multi-row Blocks featurises to the one-row states, stacked."""
+    sch, ac_names = tpch_bundle.schema, tpch_bundle.ac_names
+    f = Featurizer(sch, ac_names)
+    cuts = extract_cuts(asts(tpch_bundle.queries))
+    rng = np.random.default_rng(0)
+    descs = [Description.root(sch, ac_names)]
+    for _ in range(20):
+        d = descs[rng.integers(len(descs))]
+        descs.append(d.restrict(cuts[rng.integers(len(cuts))], bool(rng.integers(2))))
+    rows = Blocks.of(descs, Space.of(sch, ac_names))
+    v = f(rows)
+    assert v.shape == (len(descs), f.dim) and v.dtype == np.float64
     assert v.min() >= 0.0 and v.max() <= 1.0
-    # root: full ranges -> lo=0, hi=1 per numeric col; all mask bits on
-    child = root.restrict(Pred("l_quantity", "<", 25.0), True)
-    v2 = f(child)
-    assert (v2 != v).any()
+    assert np.array_equal(v, np.vstack([f(rows[i:i + 1]) for i in range(len(rows))]))
+    assert len(np.unique(v, axis=0)) > 1
+
+
+def test_featurizer_order():
+    """Per schema column in schema order, mask bits or the clipped, scaled
+    lo and hi; then per AC its may-true and may-false bits."""
+    sch = TableSchema({
+        "k": ColumnSpec("k", CATEGORICAL, ("p", "q", "r")),
+        "x": ColumnSpec("x", NUMERIC, (0.0, 10.0)),
+        "m": ColumnSpec("m", CATEGORICAL, ("s", "t")),
+        "d": ColumnSpec("d", DATE, (100, 200)),
+    })
+    desc = Description(
+        {"x": Interval(2.5, 5.0), "d": Interval(50.0, 150.0)},
+        {"k": np.array([True, False, True]), "m": np.array([False, True])},
+        {"u": (True, False)},
+    )
+    f = Featurizer(sch, ("u",))
+    v = f(Blocks.of([desc], Space.of(sch, ("u",))))
+    assert f.dim == 11
+    assert v.tolist() == [[1, 0, 1, 0.25, 0.5, 0, 1, 0.0, 0.5, 1, 0]]
 
 
 def test_trees_respect_sample_min_size(fig3):
