@@ -18,6 +18,7 @@ and the DuckDB oracle.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -104,6 +105,15 @@ _NUMPY_OPS = {
     ">=": np.greater_equal,
     "=": np.equal,
 }
+# Column overloads these operators; building only the named one keeps each
+# atom to one Catalyst comparison (each costs py4j round trips).
+_COLUMN_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+}
 
 
 # --------------------------------------------------------------- evaluation
@@ -157,11 +167,9 @@ def to_spark_column(node: Node, schema: TableSchema):
         c = F.col(node.attr)
         if node.op == "in":
             return c.isin([schema.decode_literal(node.attr, v) for v in sorted(node.value)])
-        lit = F.lit(schema.decode_literal(node.attr, node.value))
-        return {"<": c < lit, "<=": c <= lit, ">": c > lit, ">=": c >= lit, "=": c == lit}[node.op]
+        return _COLUMN_OPS[node.op](c, F.lit(schema.decode_literal(node.attr, node.value)))
     if isinstance(node, AdvPred):
-        a, b = F.col(node.attr1), F.col(node.attr2)
-        m = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "=": a == b}[node.op]
+        m = _COLUMN_OPS[node.op](F.col(node.attr1), F.col(node.attr2))
         return ~m if node.negated else m
     if isinstance(node, And):
         out = to_spark_column(node.children[0], schema)

@@ -6,13 +6,13 @@ from pyspark.sql import functions as F
 
 from repro.baselines.simple import random_partition
 from repro.core.cost import evaluate_layout
-from repro.core.predicates import to_spark_column, to_sql
+from repro.core.predicates import Pred, to_spark_column, to_sql
 from repro.core.qdtree import block_stats
 from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
 from repro.spark_io.layout import (
+    open_layout,
     read_routed,
-    rows_in_blocks,
     spark_df_from_raw,
     write_bid_layout,
     write_tree_layout,
@@ -84,9 +84,75 @@ def test_layout_preserves_row_count(spark, tpch_bundle, written_tree_layout):
 
 def test_rows_in_blocks_matches_leaf_sizes(spark, tpch_bundle, tpch_tree, written_tree_layout):
     sizes = tpch_tree.leaf_sizes(tpch_bundle.encoded)
+    df = open_layout(spark, written_tree_layout)
     bids = [0, 1]
-    assert rows_in_blocks(spark, written_tree_layout, bids) == int(sizes[bids].sum())
-    assert rows_in_blocks(spark, written_tree_layout, []) == 0
+    assert df.filter(F.col("bid").isin(bids)).count() == int(sizes[bids].sum())
+    assert df.filter(F.col("bid").isin([])).count() == 0
+
+
+def test_open_layout_is_reused(spark, written_tree_layout):
+    assert open_layout(spark, written_tree_layout) is open_layout(spark, written_tree_layout)
+
+
+def test_writer_drops_open_layout(spark, tpch_bundle, layout_dir):
+    """Overwriting a layout that ``read_routed`` already opened must not
+    leave queries on the old file listing."""
+    path = f"{layout_dir}/tpch_rewritten"
+    raw, sch = tpch_bundle.raw, tpch_bundle.schema
+    everything = Pred("l_quantity", ">=", float(raw["l_quantity"].min()))
+    first = raw.head(300)
+    write_bid_layout(spark, first, np.zeros(len(first), dtype=int), sch, path)
+    assert read_routed(spark, path, everything, sch).count() == len(first)
+
+    second = raw.iloc[300:1100]
+    bids = 7 + np.arange(len(second)) % 3
+    write_bid_layout(spark, second, bids, sch, path)
+    got = (
+        read_routed(spark, path, everything, sch)
+        .groupBy("bid").agg(F.count(F.lit(1)).alias("n"), F.sum("l_quantity").alias("q"))
+        .toPandas().set_index("bid").sort_index()
+    )
+    want = second.assign(bid=bids).groupby("bid")["l_quantity"].agg(["size", "sum"])
+    assert list(got.index) == [7, 8, 9]
+    assert (got["n"].to_numpy() == want["size"].to_numpy()).all()
+    assert np.allclose(got["q"].to_numpy(), want["sum"].to_numpy())
+
+
+def _partitions_scanned(df) -> int:
+    """``numPartitions`` summed over the Parquet scan nodes of ``df``'s
+    executed plan (through adaptive query stages): the ``bid=`` blocks read
+    after partition pruning. Read after the action ran."""
+    total = 0
+
+    def walk(plan):
+        nonlocal total
+        kind = plan.getClass().getSimpleName()
+        if kind == "AdaptiveSparkPlanExec":
+            walk(plan.executedPlan())
+        elif kind.endswith("QueryStageExec"):
+            walk(plan.plan())
+        elif kind == "FileSourceScanExec":
+            total += int(plan.metrics().apply("numPartitions").value())
+        else:
+            children = plan.children()
+            for i in range(children.size()):
+                walk(children.apply(i))
+
+    walk(df._jdf.queryExecution().executedPlan())
+    return total
+
+
+def test_reused_layout_prunes_to_routed_blocks(spark, tpch_bundle, tpch_tree, written_tree_layout):
+    """Every query read through the one held DataFrame scans exactly the
+    blocks query routing names."""
+    held = open_layout(spark, written_tree_layout)
+    for qi in (0, 3, 7, 11, 17, 21, 25, 29):
+        q = tpch_bundle.queries[qi].ast
+        routed = read_routed(spark, written_tree_layout, q, tpch_bundle.schema, tree=tpch_tree)
+        agg = routed.agg(F.count(F.lit(1)))
+        agg.collect()
+        assert _partitions_scanned(agg) == len(tpch_tree.query_bids(q)), qi
+    assert open_layout(spark, written_tree_layout) is held
 
 
 @pytest.mark.parametrize("qi", [0, 3, 7, 11, 17, 21, 25, 29])
@@ -173,7 +239,7 @@ def test_query_routing_skips_blocks(spark, tpch_bundle, tpch_tree, written_tree_
         bids = tpch_tree.query_bids(q)
         if len(bids) < tpch_tree.n_leaves:
             pruned_any = True
-            n = rows_in_blocks(spark, written_tree_layout, bids)
+            n = open_layout(spark, written_tree_layout).filter(F.col("bid").isin(bids)).count()
             assert n < len(tpch_bundle.raw)
     assert pruned_any
 
