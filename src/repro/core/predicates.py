@@ -11,21 +11,20 @@ Three leaf forms (Sec 3, 6.1 of the paper):
 * :class:`And` / :class:`Or` — arbitrary nesting for queries.
 
 Every node supports vectorised evaluation over an encoded pandas frame
-(:func:`eval_mask`), compilation to a native Spark ``Column``
-(:func:`to_spark_column`) and to SQL text (:func:`to_sql`) in *raw* literal
-space, so the same query object drives tree construction, Catalyst execution
-and the DuckDB oracle.
+(:func:`eval_mask`) and compilation to SQL text in *raw* literal space
+(:func:`to_sql`): the one compiler for Spark's routed reads, the tree's
+``CASE`` routing expression and the DuckDB oracle. ``eval_mask`` is the
+independent reference the tests check both engines against.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 import pandas as pd
 
-from .schema import CATEGORICAL, TableSchema
+from .schema import TableSchema
 
 RANGE_OPS = ("<", "<=", ">", ">=")
 EQ_OPS = ("=", "in")
@@ -105,15 +104,6 @@ _NUMPY_OPS = {
     ">=": np.greater_equal,
     "=": np.equal,
 }
-# Column overloads these operators; building only the named one keeps each
-# atom to one Catalyst comparison (each costs py4j round trips).
-_COLUMN_OPS = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "=": operator.eq,
-}
 
 
 # --------------------------------------------------------------- evaluation
@@ -151,36 +141,9 @@ def to_sql(node: Node, schema: TableSchema) -> str:
     if isinstance(node, AdvPred):
         s = f"({node.attr1} {node.op} {node.attr2})"
         return f"(NOT {s})" if node.negated else s
-    if isinstance(node, And):
-        return "(" + " AND ".join(to_sql(c, schema) for c in node.children) + ")"
-    if isinstance(node, Or):
-        return "(" + " OR ".join(to_sql(c, schema) for c in node.children) + ")"
-    raise TypeError(f"unknown node {node!r}")
-
-
-# ----------------------------------------------------------- to Spark column
-def to_spark_column(node: Node, schema: TableSchema):
-    """Native Catalyst ``Column`` for ``node`` (raw literal space)."""
-    from pyspark.sql import functions as F
-
-    if isinstance(node, Pred):
-        c = F.col(node.attr)
-        if node.op == "in":
-            return c.isin([schema.decode_literal(node.attr, v) for v in sorted(node.value)])
-        return _COLUMN_OPS[node.op](c, F.lit(schema.decode_literal(node.attr, node.value)))
-    if isinstance(node, AdvPred):
-        m = _COLUMN_OPS[node.op](F.col(node.attr1), F.col(node.attr2))
-        return ~m if node.negated else m
-    if isinstance(node, And):
-        out = to_spark_column(node.children[0], schema)
-        for c in node.children[1:]:
-            out = out & to_spark_column(c, schema)
-        return out
-    if isinstance(node, Or):
-        out = to_spark_column(node.children[0], schema)
-        for c in node.children[1:]:
-            out = out | to_spark_column(c, schema)
-        return out
+    if isinstance(node, (And, Or)):
+        sep = " AND " if isinstance(node, And) else " OR "
+        return "(" + sep.join(to_sql(c, schema) for c in node.children) + ")"
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -12,9 +12,9 @@ Data routing is exposed three ways:
 * :meth:`QdTree.route` — vectorised over an *encoded* pandas frame (numpy
   masks per node), the path used during construction and for throughput
   benchmarks;
-* :meth:`QdTree.routing_column` — a native Catalyst ``Column`` (nested
-  ``F.when``) over the *raw* frame, used to add the ``bid`` column for
-  ``df.write.partitionBy("bid")`` — pure DataFrame API, no UDFs;
+* :meth:`QdTree.routing_column` — a native Catalyst ``Column`` (one nested
+  SQL ``CASE WHEN``) over the *raw* frame, used to add the ``bid`` column
+  for ``df.write.partitionBy("bid")`` — no UDFs;
 * the same expression doubles as the partitioning *function* required by
   Problem 2 (new tuples route without reshuffling).
 
@@ -29,7 +29,7 @@ builds routes by the min-max stats of each block's rows instead (Sec 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import pandas as pd
@@ -38,7 +38,7 @@ from .description import Description, Interval
 from .intersect import Blocks, Space
 from .predicates import AdvPred, Pred
 from .predicates import Node as QueryNode
-from .predicates import _NUMPY_OPS, eval_mask, to_spark_column
+from .predicates import _NUMPY_OPS, eval_mask, to_sql
 from .schema import CATEGORICAL, TableSchema
 
 
@@ -134,17 +134,19 @@ class QdTree:
         return bids
 
     def routing_column(self):
-        """Catalyst expression computing the BID for each raw row."""
+        """Catalyst expression computing the BID for each raw row: one
+        nested ``CASE WHEN <cut> THEN <left> ELSE <right> END`` string,
+        parsed once. A NULL cut goes ``ELSE`` (right), as in :meth:`route`.
+        Spark's parser takes trees of depth 200 and fails at depth 400."""
         from pyspark.sql import functions as F
 
-        def expr(node: TreeNode):
+        def sql(node: TreeNode) -> str:
             if node.is_leaf:
-                return F.lit(node.bid)
-            return F.when(
-                to_spark_column(node.cut, self.schema), expr(node.left)
-            ).otherwise(expr(node.right))
+                return str(node.bid)
+            return (f"CASE WHEN {to_sql(node.cut, self.schema)} "
+                    f"THEN {sql(node.left)} ELSE {sql(node.right)} END")
 
-        return expr(self.root)
+        return F.expr(sql(self.root))
 
     # ------------------------------------------------------------- queries
     def query_bids(self, query: QueryNode) -> list[int]:

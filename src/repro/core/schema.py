@@ -113,8 +113,10 @@ class TableSchema:
             # columns; data is day-granularity so semantics match DATE.
             return f"TIMESTAMP '{raw} 00:00:00'"
         if isinstance(raw, str):
-            escaped = raw.replace("'", "''")
-            return f"'{escaped}'"
+            # Spark reads a backslash in a literal as an escape, DuckDB as
+            # itself: spell it chr(92), which both constant-fold.
+            text = raw.replace("'", "''").replace("\\", "' || chr(92) || '")
+            return f"('{text}')" if "\\" in raw else f"'{text}'"
         return repr(raw)
 
 

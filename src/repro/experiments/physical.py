@@ -12,7 +12,8 @@ the workload three ways —
 
 Each query runs as a count+sum aggregate (forces actual column reads).
 Reported per template: mean wall-clock and tuples resident in the scanned
-blocks (the logical I/O the paper's speedups track).
+blocks (the logical I/O the paper's speedups track). A ``qdtree``-mode
+query that scans other than its routed blocks makes the run raise.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from pyspark.sql import functions as F
 
 from ..core.qdtree import QdTree, block_stats
 from ..spark_io.layout import (
+    blocks_scanned,
     read_routed,
     spark_df_from_raw,
     write_bid_layout,
@@ -82,19 +84,19 @@ def run_physical(
     per_template: dict = defaultdict(lambda: defaultdict(list))
     rows_routed: dict = defaultdict(int)
 
+    reads = {"qdtree": (tree_path, layout), "qdtree-noroute": (tree_path, None),
+             "baseline": (base_path, None)}  # mode -> (layout path, router)
     for q in queries:
-        for mode in MODES:
+        for mode, (path, router) in reads.items():
             t0 = time.perf_counter()
-            if mode == "qdtree":
-                df = read_routed(spark, tree_path, q.ast, bundle.schema, tree=layout)
-            elif mode == "qdtree-noroute":
-                df = read_routed(spark, tree_path, q.ast, bundle.schema, tree=None)
-            else:
-                df = read_routed(spark, base_path, q.ast, bundle.schema, tree=None)
-            df.agg(
-                F.count(F.lit(1)).alias("cnt"), F.sum(probe).alias("s")
-            ).collect()
+            df = read_routed(spark, path, q.ast, bundle.schema, tree=router)
+            agg = df.agg(F.count(F.lit(1)).alias("cnt"), F.sum(probe).alias("s"))
+            agg.collect()
             per_template[q.template][mode].append(time.perf_counter() - t0)
+            if router is not None:
+                scanned, routed = blocks_scanned(agg), len(router.query_bids(q.ast))
+                if scanned != routed:
+                    raise RuntimeError(f"{q.template}: scanned {scanned} blocks, routed {routed}")
         rows_routed[q.template] += layout.accessed(q.ast)
 
     totals = {

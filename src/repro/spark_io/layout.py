@@ -3,8 +3,8 @@
 This is the paper's execution story (Sec 3.1, 3.3, 7.1) on Spark:
 
 * **Write**: the dataset gains a ``bid`` column — for qd-tree layouts this
-  is the tree's native Catalyst routing expression (nested ``F.when``; no
-  UDFs), for baseline layouts a precomputed assignment — and is written
+  is the tree's native Catalyst routing expression (one nested SQL ``CASE``;
+  no UDFs), for baseline layouts a precomputed assignment — and is written
   ``partitionBy("bid")`` so each block is its own Parquet directory.
 * **Open**: :func:`open_layout` reads each layout path once per
   ``SparkSession`` and hands the same DataFrame to every later query, so
@@ -14,6 +14,7 @@ This is the paper's execution story (Sec 3.1, 3.3, 7.1) on Spark:
   ``bid IN (...)``; Catalyst's partition pruning then skips non-matching
   blocks entirely. ``no route`` mode omits the BID filter and relies on
   Parquet min-max row-group stats alone — the paper's ablation in Sec 7.5.
+  The filter reaches Spark as one SQL string (:func:`routed_condition`).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.predicates import Node, to_spark_column
+from ..core.predicates import Node, to_sql
 from ..core.qdtree import Layout, QdTree
 from ..core.schema import DATE, TableSchema
 
@@ -92,6 +93,18 @@ def write_bid_layout(
     df.write.mode("overwrite").partitionBy("bid").parquet(path)
 
 
+def routed_condition(query: Node, schema: TableSchema, tree: QdTree | Layout | None = None) -> str:
+    """``bid IN (<tree.query_bids(query)>) AND <query>``, or the query
+    alone without a router. Spark SQL has no ``IN ()``: a query routed to
+    no block gets ``FALSE``, which Catalyst folds to an empty scan."""
+    cond = to_sql(query, schema)
+    if tree is None:
+        return cond
+    bids = tree.query_bids(query)
+    route = f"bid IN ({', '.join(map(str, bids))})" if bids else "FALSE"
+    return f"{route} AND {cond}"
+
+
 def read_routed(
     spark: SparkSession,
     path: str,
@@ -104,7 +117,24 @@ def read_routed(
     :class:`QdTree` routes by leaf descriptions (Sec 3.3), a :class:`Layout`
     by block stats (Sec 3.2). Without, fall back to engine-native pruning
     (*no route*). The layout is opened through :func:`open_layout`."""
-    df = open_layout(spark, path)
-    if tree is not None:
-        df = df.filter(F.col("bid").isin(tree.query_bids(query)))
-    return df.filter(to_spark_column(query, schema))
+    return open_layout(spark, path).filter(routed_condition(query, schema, tree))
+
+
+def blocks_scanned(df: DataFrame) -> int:
+    """``numPartitions`` summed over the Parquet scan nodes of ``df``'s
+    executed plan, through adaptive query stages: the ``bid=`` blocks read
+    after partition pruning. Read after the action ran. A plan folded to an
+    empty relation has no scan node and reads 0."""
+
+    def walk(plan) -> int:
+        kind = plan.getClass().getSimpleName()
+        if kind == "AdaptiveSparkPlanExec":
+            return walk(plan.executedPlan())
+        if kind.endswith("QueryStageExec"):
+            return walk(plan.plan())
+        if kind == "FileSourceScanExec":
+            return int(plan.metrics().apply("numPartitions").value())
+        kids = plan.children()
+        return sum(walk(kids.apply(i)) for i in range(kids.size()))
+
+    return walk(df._jdf.queryExecution().executedPlan())

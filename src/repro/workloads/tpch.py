@@ -27,7 +27,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.predicates import AdvPred, And, Or, Pred
-from ..core.schema import ColumnSpec, TableSchema, encode_dates
+from ..core.schema import ColumnSpec, TableSchema
 from . import Query
 
 N_PER_SF = 6_000_000

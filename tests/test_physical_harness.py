@@ -70,3 +70,22 @@ def test_run_physical_on_errlog(spark, errlog_int_bundle, tmp_path_factory):
     workdir = str(tmp_path_factory.mktemp("phys_errlog"))
     res = run_physical(spark, b, tree, baseline, workdir, queries=b.queries[:3])
     assert set(res.totals) == {"qdtree", "qdtree-noroute", "baseline"}
+
+
+def test_run_physical_raises_when_routing_is_bypassed(
+    spark, tpch_bundle, tpch_tree, tmp_path_factory, monkeypatch
+):
+    """qd-tree mode checks each query's scan against query routing: a read
+    that drops the BID filter scans every block and must not be timed."""
+    from repro.experiments import physical
+    from repro.spark_io.layout import read_routed
+
+    def unrouted(spark, path, query, schema, tree=None):
+        return read_routed(spark, path, query, schema, tree=None)
+
+    monkeypatch.setattr(physical, "read_routed", unrouted)
+    baseline = random_partition(len(tpch_bundle.raw), 2000, seed=0)
+    workdir = str(tmp_path_factory.mktemp("phys_bypass"))
+    with pytest.raises(RuntimeError, match="scanned .* blocks, routed"):
+        run_physical(spark, tpch_bundle, tpch_tree, baseline, workdir,
+                     queries=tpch_bundle.queries[:4])

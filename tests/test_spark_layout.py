@@ -1,18 +1,26 @@
 """Spark physical layout: Catalyst routing parity, partition pruning, and
 DuckDB-oracle correctness of query results over qd-tree layouts."""
+import duckdb
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.baselines.simple import random_partition
 from repro.core.cost import evaluate_layout
-from repro.core.predicates import Pred, to_spark_column, to_sql
-from repro.core.qdtree import block_stats
+from repro.core.cuts import extract_cuts
+from repro.core.greedy import greedy_qdtree
+from repro.core.intersect import Blocks
+from repro.core.predicates import And, Pred, eval_mask, to_sql
+from repro.core.qdtree import QdTree, TreeNode, block_stats
+from repro.core.schema import infer_schema
 from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
 from repro.spark_io.layout import (
+    blocks_scanned,
     open_layout,
     read_routed,
+    routed_condition,
     spark_df_from_raw,
     write_bid_layout,
     write_tree_layout,
@@ -53,21 +61,114 @@ def written_baseline_layout(spark, tpch_bundle, tpch_tree, layout_dir):
     return path
 
 
-def test_spark_routing_matches_pandas(spark, tpch_bundle, tpch_tree):
-    """The Catalyst routing expression assigns the same BID as vectorised
-    pandas routing for every row."""
-    raw = tpch_bundle.raw.head(2000).copy()
-    enc = tpch_bundle.schema.encode(raw)
-    expected = tpch_tree.route(enc)
-    raw_df = spark_df_from_raw(spark, raw.assign(_row=np.arange(len(raw))), tpch_bundle.schema)
-    got = (
-        raw_df.withColumn("bid", tpch_tree.routing_column())
+def _spark_bids(spark, tree, raw, schema):
+    """BID per row of ``raw`` from the tree's Catalyst routing expression."""
+    raw_df = spark_df_from_raw(spark, raw.assign(_row=np.arange(len(raw))), schema)
+    return (
+        raw_df.withColumn("bid", tree.routing_column())
         .select("_row", "bid")
         .toPandas()
         .sort_values("_row")["bid"]
         .to_numpy()
     )
-    assert (got == expected).all()
+
+
+@pytest.mark.parametrize("name", ["tpch", "errlog_int", "errlog_ext"])
+def test_spark_routing_matches_pandas(spark, request, name):
+    """The Catalyst routing expression assigns the same BID as vectorised
+    pandas routing for every row: range, date, categorical and advanced
+    cuts."""
+    bundle = request.getfixturevalue(f"{name}_bundle")
+    if name == "tpch":
+        tree = request.getfixturevalue("tpch_tree")
+    else:
+        W = asts(bundle.queries)
+        tree = greedy_qdtree(bundle.encoded, bundle.schema, extract_cuts(W), W, bundle.b,
+                             ac_names=bundle.ac_names)
+        assert tree.n_leaves > 1
+    raw = bundle.raw.head(2000).copy()
+    expected = tree.route(bundle.schema.encode(raw))
+    assert (_spark_bids(spark, tree, raw, bundle.schema) == expected).all()
+
+
+def _chain_tree(schema, cuts) -> QdTree:
+    """A tree whose every cut splits off one leaf on the left."""
+    root = node = TreeNode(Blocks.root(schema))
+    for cut in cuts:
+        _, node = node.split(cut)
+    return QdTree.build(root, schema)
+
+
+def test_spark_routing_deep_chain(spark, tpch_bundle):
+    """A hand-built chain of depth 200 still parses and routes every row
+    to the BID numpy routing gives."""
+    raw, sch = tpch_bundle.raw.head(2000), tpch_bundle.schema
+    edges = np.quantile(raw["l_extendedprice"], np.linspace(0.0, 1.0, 200))
+    tree = _chain_tree(sch, [Pred("l_extendedprice", "<=", float(v)) for v in edges])
+    assert tree.depth == 201
+    expected = tree.route(sch.encode(raw))
+    assert len(np.unique(expected)) > 100
+    assert (_spark_bids(spark, tree, raw, sch) == expected).all()
+
+
+def test_string_literals_mean_the_same_everywhere(spark, layout_dir):
+    """Quotes and backslashes in categorical values: numpy, DuckDB (the
+    SQL text), Spark's routed read and Spark's routing expression select
+    the same rows, and Spark still pushes the value down to Parquet."""
+    values = ["O'Brien", "a\\b", "a\\\\b'", "ab", "plain"]
+    raw = pd.DataFrame({"name": [values[i % 5] for i in range(100)],
+                        "x": np.arange(100.0)})
+    sch = infer_schema(raw, categorical=["name"])
+    enc = sch.encode(raw)
+    code = {v: i for i, v in enumerate(sch["name"].domain)}
+    tree = _chain_tree(sch, [Pred("name", "=", code["a\\b"]),
+                             Pred("name", "in", [code["O'Brien"], code["ab"]])])
+    path = f"{layout_dir}/names"
+    write_tree_layout(spark_df_from_raw(spark, raw, sch), tree, path)
+    assert (_spark_bids(spark, tree, raw, sch) == tree.route(enc)).all()
+    for q in [Pred("name", "=", code[v]) for v in values] + [
+        Pred("name", "in", [code["a\\b"], code["a\\\\b'"]]),
+        Pred("name", "in", [code["O'Brien"], code["plain"]]),
+    ]:
+        want = int(eval_mask(q, enc).sum())
+        assert want > 0, q
+        ddb = duckdb.sql(f"SELECT count(*) FROM raw WHERE {to_sql(q, sch)}").fetchone()[0]
+        df = read_routed(spark, path, q, sch, tree=tree)
+        assert (ddb, df.count()) == (want, want), q
+        if q.op == "=":
+            plan = df._jdf.queryExecution().executedPlan().toString()
+            value = sch["name"].domain[q.value]
+            assert f"PushedFilters: [IsNotNull(name), EqualTo(name,{value})]" in plan
+
+
+def test_empty_route_scans_nothing(spark, tpch_bundle, tpch_layout, written_tree_layout):
+    """A query that routes to no block reads no block and counts 0, as
+    DuckDB does."""
+    sch = tpch_bundle.schema
+    q = Pred("l_quantity", ">", float(tpch_bundle.raw["l_quantity"].max()) + 1.0)
+    assert tpch_layout.query_bids(q) == []
+    assert routed_condition(q, sch, tpch_layout).startswith("FALSE AND ")
+    agg = read_routed(spark, written_tree_layout, q, sch, tree=tpch_layout).agg(
+        F.count(F.lit(1)).alias("n"))
+    assert_equivalent(agg, f"SELECT count(*) AS n FROM t WHERE {to_sql(q, sch)}",
+                      t=tpch_bundle.raw)
+    assert agg.collect()[0]["n"] == 0
+    assert blocks_scanned(agg) == 0
+
+
+def test_date_bounds_pushed_without_cast(spark, tpch_bundle, tpch_tree, written_tree_layout):
+    """TIMESTAMP literals against a DateType column reach the Parquet scan
+    as plain date bounds."""
+    sch, enc = tpch_bundle.schema, tpch_bundle.encoded
+    lo, hi = np.quantile(enc["l_shipdate"], [0.3, 0.4]).astype(int)
+    q = And([Pred("l_shipdate", ">=", int(lo)), Pred("l_shipdate", "<", int(hi))])
+    df = read_routed(spark, written_tree_layout, q, sch, tree=tpch_tree)
+    assert df.count() == int(eval_mask(q, enc).sum())
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    pushed = plan.split("PushedFilters: ")[1].split("], ")[0]
+    assert f"GreaterThanOrEqual(l_shipdate,{sch.decode_literal('l_shipdate', lo)})" in pushed
+    assert f"LessThan(l_shipdate,{sch.decode_literal('l_shipdate', hi)})" in pushed
+    assert "cast" not in pushed.lower()
 
 
 def test_layout_is_partitioned_by_bid(spark, written_tree_layout, tpch_tree):
@@ -118,30 +219,6 @@ def test_writer_drops_open_layout(spark, tpch_bundle, layout_dir):
     assert np.allclose(got["q"].to_numpy(), want["sum"].to_numpy())
 
 
-def _partitions_scanned(df) -> int:
-    """``numPartitions`` summed over the Parquet scan nodes of ``df``'s
-    executed plan (through adaptive query stages): the ``bid=`` blocks read
-    after partition pruning. Read after the action ran."""
-    total = 0
-
-    def walk(plan):
-        nonlocal total
-        kind = plan.getClass().getSimpleName()
-        if kind == "AdaptiveSparkPlanExec":
-            walk(plan.executedPlan())
-        elif kind.endswith("QueryStageExec"):
-            walk(plan.plan())
-        elif kind == "FileSourceScanExec":
-            total += int(plan.metrics().apply("numPartitions").value())
-        else:
-            children = plan.children()
-            for i in range(children.size()):
-                walk(children.apply(i))
-
-    walk(df._jdf.queryExecution().executedPlan())
-    return total
-
-
 def test_reused_layout_prunes_to_routed_blocks(spark, tpch_bundle, tpch_tree, written_tree_layout):
     """Every query read through the one held DataFrame scans exactly the
     blocks query routing names."""
@@ -151,7 +228,7 @@ def test_reused_layout_prunes_to_routed_blocks(spark, tpch_bundle, tpch_tree, wr
         routed = read_routed(spark, written_tree_layout, q, tpch_bundle.schema, tree=tpch_tree)
         agg = routed.agg(F.count(F.lit(1)))
         agg.collect()
-        assert _partitions_scanned(agg) == len(tpch_tree.query_bids(q)), qi
+        assert blocks_scanned(agg) == len(tpch_tree.query_bids(q)), qi
     assert open_layout(spark, written_tree_layout) is held
 
 
@@ -191,25 +268,26 @@ def test_whole_workload_matches_duckdb(
     written_baseline_layout, mode,
 ):
     """Per-query match counts of every workload query, from one Spark job
-    per layout mode, equal DuckDB's over the raw table. Routed mode counts
-    only the rows inside the query's routed blocks, under both routers (leaf
-    descriptions and block stats), so a block that query routing wrongly
-    prunes shows up as a lower count."""
+    per layout mode, equal DuckDB's over the raw table and numpy's over the
+    encoded one. Spark counts by the filter strings ``read_routed`` sends.
+    Routed mode counts only the rows inside the query's routed blocks,
+    under both routers (leaf descriptions and block stats), so a block that
+    query routing wrongly prunes shows up as a lower count."""
     sch, W = tpch_bundle.schema, asts(tpch_bundle.queries)
     path = written_baseline_layout if mode == "baseline" else written_tree_layout
     routers = {"all": None}
     if mode == "qdtree":
         routers = {"tree": tpch_tree, "stats": tpch_layout}
-    counts, sql = [], []
+    counts, sql, want = [], [], []
     for name, router in routers.items():
         for i, q in enumerate(W):
-            cond = to_spark_column(q, sch)
-            if router is not None:
-                cond = cond & F.col("bid").isin(router.query_bids(q))
+            cond = F.expr(routed_condition(q, sch, router))
             counts.append(F.count(F.when(cond, 1)).alias(f"{name}{i}"))
             sql.append(f"count_if({to_sql(q, sch)}) AS {name}{i}")
+            want.append(int(eval_mask(q, tpch_bundle.encoded).sum()))
     got = spark.read.parquet(path).agg(*counts)
     assert_equivalent(got, f"SELECT {', '.join(sql)} FROM t", t=tpch_bundle.raw)
+    assert list(got.collect()[0]) == want
 
 
 def test_stats_routed_rows_equal_table2_score(
