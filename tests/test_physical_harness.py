@@ -76,7 +76,7 @@ def test_run_physical_raises_when_routing_is_bypassed(
     spark, tpch_bundle, tpch_tree, tmp_path_factory, monkeypatch
 ):
     """qd-tree mode checks each query's scan against query routing: a read
-    that drops the BID filter scans every block and must not be timed."""
+    that drops the BID filter scans every block, and the run raises."""
     from repro.experiments import physical
     from repro.spark_io.layout import read_routed
 
