@@ -1,5 +1,8 @@
 """Framework extensions (paper Sec 6): data overlap and two-tree
 replication, including the Fig-4 scenario."""
+import hashlib
+import json
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -132,6 +135,33 @@ def test_overlap_never_worse_than_tree(fig4_quad):
     layout = build_overlap_layout(relaxed, enc, b=N)
     plain = evaluate_layout(enc, relaxed.route(enc), sch, W)
     assert layout.tuples_accessed(W, sch) <= plain.tuples_accessed
+
+
+# (extra_rows, tuples_accessed, SHA-1 of the JSON list of every query's
+# query_blocks) of the overlap layout on a relaxed Greedy tree at the
+# bundle's b. Pins which blocks each query scans, covered queries included.
+_PINNED_OVERLAP = {
+    "tpch": (175, 83621, "8289bec2835ddad19f54e8b09170dee05cd12acb"),
+    "errlog-int": (46, 655, "0eb71737cbe54abc011debc39068adc191a88763"),
+    "errlog-ext": (33, 559, "61841b2ae6c14f855e32796d283cfb0cb6a28b14"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, bundle",
+    [("tpch", "tpch_bundle"), ("errlog-int", "errlog_int_bundle"),
+     ("errlog-ext", "errlog_ext_bundle")],
+)
+def test_overlap_pinned(name, bundle, request):
+    bd = request.getfixturevalue(bundle)
+    W = asts(bd.queries)
+    tree = greedy_qdtree(bd.encoded, bd.schema, extract_cuts(W), W, bd.b,
+                         ac_names=bd.ac_names, relaxed=True)
+    layout = build_overlap_layout(tree, bd.encoded, bd.b, acs=bd.acs)
+    routes = [layout.query_blocks(q, bd.schema) for q in W]
+    got = (layout.extra_rows, layout.tuples_accessed(W, bd.schema),
+           hashlib.sha1(json.dumps(routes).encode()).hexdigest())
+    assert got == _PINNED_OVERLAP[name]
 
 
 # ------------------------------------------------------------- neighbors
