@@ -1,13 +1,16 @@
 """Descriptions as arrays, and their intersection with queries (Sec 3.3,
 4, 5, Eq. 1).
 
-:class:`Blocks` holds semantic descriptions (Table 1) as rows: ``lo``/``hi``
-per numeric column, the categorical masks side by side, and the may-true /
+:class:`Blocks` holds semantic descriptions (Table 1) as rows: a closed
+range ``[lo, hi]`` per numeric column (empty iff ``lo > hi``; a strict
+bound ``x < v`` is stored as ``hi = nextafter(v, -inf)``), the categorical
+masks side by side (bit 0: that value is absent), and the may-true /
 may-false bits of every advanced cut (AC), in the one column layout
-:meth:`Space.of` gives a schema. A tree node holds one row;
-:meth:`Blocks.split` restricts it by both sides of a cut, each side itself
-a row of the bounds and bits it keeps. :class:`~.description.Description`
-and its walk of a query's AND/OR tree are the reference for these arrays.
+:meth:`Space.of` gives a schema. It is the only description type: a tree
+node holds one row, :meth:`Blocks.split` restricts it by both sides of a
+cut, each side itself a row of the bounds and bits it keeps, and block
+stats and overlap regions are rows too. The tests hold these arrays to a
+per-description walk of a query's AND/OR tree, their reference.
 Greedy's gain, WOODBLOCK's active queries, Table-2 scoring and query
 routing all ask whether a block may hold a row matching a query; this
 module answers it for every pair at once:
@@ -15,18 +18,19 @@ module answers it for every pair at once:
 * :func:`compile_workload` maps the queries to *atoms*, their distinct leaf
   predicates, and *boxes*, the conjunctions of each query's disjunctive
   normal form, with a box → query map;
-* :meth:`Workload.box_truth` tests every (description, atom) pair exactly
-  as the walk tests that atom — a range atom its interval, a categorical
-  atom its mask, an AC atom one bit — and reduces atom truth to boxes with
-  a float32 matmul; a second matmul reduces boxes to queries.
+* :meth:`Workload.box_truth` tests every (description, atom) pair on its
+  own field — a range atom its interval, a categorical atom its mask, an
+  AC atom one bit — and reduces atom truth to boxes with a float32
+  matmul; a second matmul reduces boxes to queries.
 
 A box holds iff all its atoms do, and a query iff one of its boxes does.
 For boolean atom values that is the walk's AND/OR tree, so every answer
 equals the walk's, atom by atom: ``x < 1 AND x > 5`` still intersects any
-interval that admits either conjunct alone.
+interval that admits either conjunct alone. The test is sound: it may
+keep a block with no matching row, never prune one that holds one.
 
 The compiled workload also carries both sides of every candidate cut
-(:meth:`Description.restrict` as bounds and kept bits), so Greedy gets the
+(:func:`_cut_effects`, as bounds and kept bits), so Greedy gets the
 active-query counts of both children of every legal cut in one batch
 (:meth:`Workload.split_counts`): the children become the rows of one
 :class:`Blocks`, tested against the node's active boxes only. A
@@ -36,12 +40,12 @@ on ``j``, an active box holds in a child iff the child's atoms on ``j`` do.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .description import Description, Interval
 from .predicates import AdvPred, And, Or, Pred
 from .schema import TableSchema
 
@@ -70,7 +74,7 @@ class Space:
 @dataclass
 class Blocks:
     """Descriptions as arrays, one row per description (an empty range is
-    ``lo > hi``, as in :class:`~.description.Interval`)."""
+    ``lo > hi``)."""
 
     space: Space
     lo: np.ndarray  # (n, numeric columns) float64
@@ -80,25 +84,14 @@ class Blocks:
     may_false: np.ndarray
 
     @staticmethod
-    def of(descs: Sequence[Description], space: Space) -> "Blocks":
-        n = len(descs)
-        ranges = [[d.ranges[c] for c in space.num] for d in descs]
-        acs = np.array([[d.acs[a] for a in space.ac] for d in descs], dtype=bool)
-        acs = acs.reshape(n, len(space.ac), 2)
-        return Blocks(
-            space,
-            np.array([[iv.lo for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
-            np.array([[iv.hi for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
-            np.array([np.concatenate([d.masks[c] for c in space.cat] or [[]])
-                      for d in descs], dtype=bool).reshape(n, space.width),
-            acs[:, :, 0],
-            acs[:, :, 1],
-        )
-
-    @staticmethod
     def root(schema: TableSchema, ac_names: Sequence[str] = ()) -> "Blocks":
-        """The whole-table description as one row."""
-        return Blocks.of([Description.root(schema, ac_names)], Space.of(schema, ac_names))
+        """The whole-table description as one row: each numeric column's
+        schema domain, all-ones masks and (True, True) AC bits."""
+        space = Space.of(schema, ac_names)
+        dom = np.array([schema[c].domain for c in space.num], dtype=float).reshape(1, -1, 2)
+        ones = np.ones((1, len(space.ac)), dtype=bool)
+        return Blocks(space, dom[..., 0], dom[..., 1],
+                      np.ones((1, space.width), dtype=bool), ones, ones.copy())
 
     @staticmethod
     def stack(rows: Sequence["Blocks"]) -> "Blocks":
@@ -118,8 +111,8 @@ class Blocks:
 
     def restrict(self, sides: "Blocks") -> "Blocks":
         """Each row intersected with the matching row of ``sides`` (one row
-        broadcasts): :meth:`Description.restrict`, as arrays, where a side
-        of a cut is the row of the bounds and bits it keeps."""
+        broadcasts), where a side of a cut is the row of the bounds and bits
+        it keeps."""
         return Blocks(
             self.space,
             np.maximum(self.lo, sides.lo),
@@ -133,19 +126,6 @@ class Blocks:
         """Both children of a one-row description under ``cut``: row 0 is
         the side where the cut holds, row 1 the other."""
         return self.restrict(_cut_effects([cut], self.space))
-
-    def descriptions(self) -> list[Description]:
-        """The rows back as :class:`~.description.Description` objects."""
-        return [
-            Description(
-                {c: Interval(float(self.lo[b, j]), float(self.hi[b, j]))
-                 for c, j in self.space.num.items()},
-                {c: self.masks[b, off:off + card] for c, (off, card) in self.space.cat.items()},
-                {a: (bool(self.may_true[b, j]), bool(self.may_false[b, j]))
-                 for a, j in self.space.ac.items()},
-            )
-            for b in range(len(self))
-        ]
 
     def intersects(self, queries: Sequence) -> np.ndarray:
         """(blocks, queries) bool: may block b hold a row matching query q?"""
@@ -237,10 +217,9 @@ class Workload:
 
 
 def _cut_effects(cuts: Sequence, space: Space) -> Blocks:
-    """Both sides of every cut as rows: the bounds and kept bits that
-    :meth:`Description.restrict` applies, row c where cut c holds and row
-    ``len(cuts) + c`` where it does not."""
-    n, full = len(cuts), Interval()
+    """Both sides of every cut as rows of the bounds and bits each keeps,
+    row c where cut c holds and row ``len(cuts) + c`` where it does not."""
+    n = len(cuts)
     lo = np.full((2 * n, len(space.num)), -np.inf)
     hi = np.full((2 * n, len(space.num)), np.inf)
     keep = np.ones((2 * n, space.width), dtype=bool)
@@ -254,10 +233,16 @@ def _cut_effects(cuts: Sequence, space: Space) -> Blocks:
             sel[[int(v) for v in vals]] = True
             keep[i, off:off + card], keep[n + i, off:off + card] = sel, ~sel
         elif isinstance(cut, Pred):
-            j = space.num[cut.attr]
-            for row, side in ((i, True), (n + i, False)):
-                iv = full.restrict(cut.op, float(cut.value), side)
-                lo[row, j], hi[row, j] = iv.lo, iv.hi
+            j, v = space.num[cut.attr], float(cut.value)
+            # the lower side keeps x <= top, the upper side x >= bottom; a
+            # strict bound is the adjacent float, exact for every float64
+            # value (and every int64 value below 2**53)
+            if cut.op in ("<", ">="):
+                top, bottom = math.nextafter(v, -math.inf), v
+            else:
+                top, bottom = v, math.nextafter(v, math.inf)
+            lower, upper = (i, n + i) if cut.op in ("<", "<=") else (n + i, i)
+            hi[lower, j], lo[upper, j] = top, bottom
         elif isinstance(cut, AdvPred):
             j = space.ac[cut.name]
             # the side where the positive AC holds may not be false

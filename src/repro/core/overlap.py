@@ -16,55 +16,70 @@ Mechanism, as the paper describes it:
    *covers* the whole query region, that block alone suffices and the
    smallest such block is scanned.
 
+The regions are rows of a :class:`~.intersect.Blocks`, the one
+description type: the tree's leaf rows, widened by each merge.
 The cost metric charges a query the sizes of the blocks it scans
 (including replicated copies), and the layout reports its extra-storage
 cost, which for Fig-4-style workloads is near zero.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import pandas as pd
 
-from .description import Description, Interval
+from .intersect import Blocks, _cut_effects
 from .predicates import AdvPred, And, Node, Or, Pred
 from .qdtree import Layout, QdTree, block_stats
 from .schema import TableSchema
 
 
 # --------------------------------------------------------------- coverage
-def covers(desc: Description, q: Node, schema: TableSchema) -> bool:
-    """Sound check that every tuple satisfying ``q`` lies inside ``desc``.
+def covers(regions: Blocks, q: Node, schema: TableSchema) -> np.ndarray:
+    """Per row of ``regions``: a sound check that every tuple satisfying
+    ``q`` lies inside the row.
 
     Conservative: may return False for a covering block (we then scan a
     few redundant blocks — correct, just less efficient), never True for
     a non-covering one. A conjunction of leaf predicates is handled exactly:
-    its region is the root description restricted by each conjunct, and it
-    is covered iff that region is empty (the query selects nothing) or lies
-    inside ``desc`` field by field. An OR covers iff every disjunct is
-    covered; a conjunction containing an OR never covers.
+    its region is the root row restricted by the side of each conjunct
+    where it holds, and it is covered iff that region is empty (the query
+    selects nothing) or lies inside the row field by field: bounds, masks
+    and AC bits. An OR covers iff every disjunct is covered; a conjunction
+    containing an OR never covers.
     """
     if isinstance(q, Or):
-        return all(covers(desc, c, schema) for c in q.children)
+        out = np.ones(len(regions), dtype=bool)
+        for c in q.children:
+            out &= covers(regions, c, schema)
+        return out
     preds = _flatten_conjunction(q)
     if preds is None:
-        return False
-    region = Description.root(schema, tuple(desc.acs))
-    for p in preds:
-        region = region.restrict(p, True)
-    if region.is_empty():
-        return True
+        return np.zeros(len(regions), dtype=bool)
+    region = Blocks.root(schema, tuple(regions.space.ac))
+    sides = _cut_effects(preds, region.space)
+    for k in range(len(preds)):
+        region = region.restrict(sides[k:k + 1])
+    if _is_empty(region):
+        return np.ones(len(regions), dtype=bool)
     return (
-        all(iv.lo <= region.ranges[c].lo and region.ranges[c].hi <= iv.hi
-            for c, iv in desc.ranges.items())
-        and not any((region.masks[c] & ~m).any() for c, m in desc.masks.items())
-        and all(
-            (mt or not region.acs[a][0]) and (mf or not region.acs[a][1])
-            for a, (mt, mf) in desc.acs.items()
-        )
+        ((regions.lo <= region.lo) & (region.hi <= regions.hi)).all(axis=1)
+        & ~(region.masks & ~regions.masks).any(axis=1)
+        & ~(region.may_true & ~regions.may_true).any(axis=1)
+        & ~(region.may_false & ~regions.may_false).any(axis=1)
+    )
+
+
+def _is_empty(row: Blocks) -> bool:
+    """Does the one-row description admit no tuple: an empty range, an
+    all-False mask of one column, or an AC that can be neither true nor
+    false?"""
+    return bool(
+        (row.lo > row.hi).any()
+        or any(not row.masks[0, off:off + card].any() for off, card in row.space.cat.values())
+        or (~row.may_true & ~row.may_false).any()
     )
 
 
@@ -84,46 +99,29 @@ def _flatten_conjunction(q: Node):
 
 
 # -------------------------------------------------------------- neighbors
-def are_neighbors(a: Description, b: Description) -> bool:
-    """Hypercubes sharing N−1 dimension boundaries, adjacent in the last
-    (paper's neighbor definition); categorical masks must match."""
-    for col, ma in a.masks.items():
-        if not np.array_equal(ma, b.masks[col]):
-            return False
-    if a.acs != b.acs:
-        return False
-    differing = [c for c in a.ranges if a.ranges[c] != b.ranges[c]]
-    if len(differing) != 1:
-        return False
-    ia, ib = a.ranges[differing[0]], b.ranges[differing[0]]
-    return _adjacent(ia, ib) or _adjacent(ib, ia)
-
-
-def _adjacent(lo_iv: Interval, hi_iv: Interval) -> bool:
-    # [x, v) followed by [v, y): no float lies between the two intervals
-    return math.nextafter(lo_iv.hi, math.inf) == hi_iv.lo
-
-
-def _merge_along(a: Description, b: Description) -> Description:
-    """Union hull of two neighbor descriptions (extends one interval)."""
-    out = a.copy()
-    for col, iv in a.ranges.items():
-        jv = b.ranges[col]
-        if iv != jv:
-            out.ranges[col] = Interval(min(iv.lo, jv.lo), max(iv.hi, jv.hi))
-    return out
+def are_neighbors(a: Blocks, b: Blocks) -> np.ndarray:
+    """Per row pair (a one-row side broadcasts): hypercubes sharing N−1
+    dimension boundaries, adjacent in the last (paper's neighbor
+    definition); categorical masks and AC bits must match. Adjacent means
+    that no float lies between the two ranges: ``[x, v)`` then ``[v, y]``."""
+    same = ((a.masks == b.masks).all(axis=1) & (a.may_true == b.may_true).all(axis=1)
+            & (a.may_false == b.may_false).all(axis=1))
+    differ = (a.lo != b.lo) | (a.hi != b.hi)
+    adjacent = (np.nextafter(a.hi, np.inf) == b.lo) | (np.nextafter(b.hi, np.inf) == a.lo)
+    return same & (differ.sum(axis=1) == 1) & (differ & adjacent).any(axis=1)
 
 
 # ----------------------------------------------------------------- layout
 @dataclass
 class OverlapLayout:
     """Per block: its complete semantic *region* (conjunction-of-cuts hull
-    — every matching tuple is in the block), its row indices (copies
-    included), and in ``stats`` the min-max/dictionary :class:`Layout` of
-    those rows, used for skipping. Keeping both mirrors the paper's Sec
-    3.2: min-max indexes tighten, semantic descriptions stay complete."""
+    — every matching tuple is in the block), a row of ``regions``, its row
+    indices (copies included), and in ``stats`` the min-max/dictionary
+    :class:`Layout` of those rows, used for skipping. Keeping both mirrors
+    the paper's Sec 3.2: min-max indexes tighten, semantic descriptions
+    stay complete."""
 
-    regions: list[Description]
+    regions: Blocks
     rows: list[np.ndarray]
     stats: Layout
     extra_rows: int  # replicated tuples (storage overhead)
@@ -134,7 +132,7 @@ class OverlapLayout:
         whole query region, that candidate alone suffices — scan the
         smallest such block (Sec 6.2.1)."""
         cands = self.stats.query_bids(q)
-        covering = [b for b in cands if covers(self.regions[b], q, schema)]
+        covering = [b for b, ok in zip(cands, covers(self.regions[cands], q, schema)) if ok]
         if covering:
             return [min(covering, key=lambda b: self.stats.sizes[b])]
         return cands
@@ -149,25 +147,26 @@ def build_overlap_layout(
     tree: QdTree, encoded: pd.DataFrame, b: int, acs: dict | None = None
 ) -> OverlapLayout:
     """Replicate each small (< b) leaf of a relaxed-construction tree into
-    every neighbor large leaf, enlarging the neighbors' regions (Sec 6.2).
-    Min-max stats are then computed from each block's final rows."""
+    every neighbor large leaf, enlarging the neighbors' regions to the
+    union hull of both (Sec 6.2). Neighbors are tested on the leaves'
+    original descriptions. Min-max stats are then computed from each
+    block's final rows."""
     bids = tree.route(encoded)
-    original = tree.blocks.descriptions()
-    regions = list(original)
+    leaves = tree.blocks
+    lo, hi = leaves.lo.copy(), leaves.hi.copy()
     rows = [np.flatnonzero(bids == lf.bid) for lf in tree.leaves]
-    small = [i for i, r in enumerate(rows) if len(r) < b]
-    large = [i for i, r in enumerate(rows) if len(r) >= b]
+    sizes = np.array([len(r) for r in rows])
+    large = np.flatnonzero(sizes >= b)
     extra = 0
-    for s in small:
-        for g in large:
-            # neighbor test against the large block's ORIGINAL description
-            if are_neighbors(regions[s], original[g]):
-                regions[g] = _merge_along(regions[g], regions[s])
-                rows[g] = np.concatenate([rows[g], rows[s]])
-                extra += len(rows[s])
+    for s in np.flatnonzero(sizes < b):
+        for g in large[are_neighbors(leaves[s:s + 1], leaves[large])]:
+            lo[g], hi[g] = np.minimum(lo[g], lo[s]), np.maximum(hi[g], hi[s])
+            rows[g] = np.concatenate([rows[g], rows[s]])
+            extra += len(rows[s])
     stats = block_stats(
         encoded.iloc[np.concatenate(rows)],
         np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
         tree.schema, acs or {}, len(rows),
     )
+    regions = Blocks(leaves.space, lo, hi, leaves.masks, leaves.may_true, leaves.may_false)
     return OverlapLayout(regions, rows, stats, extra)

@@ -34,12 +34,11 @@ from typing import Optional
 import numpy as np
 import pandas as pd
 
-from .description import Description, Interval
 from .intersect import Blocks, Space
 from .predicates import AdvPred, Pred
 from .predicates import Node as QueryNode
 from .predicates import _NUMPY_OPS, eval_mask, to_sql
-from .schema import CATEGORICAL, TableSchema
+from .schema import TableSchema
 
 
 def _eval_cut_idx(cut, cols: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarray:
@@ -153,43 +152,6 @@ class QdTree:
         """BIDs of all leaves whose description may intersect ``query``."""
         return self.blocks.query_bids(query)
 
-    def leaf_sizes(self, encoded: pd.DataFrame) -> np.ndarray:
-        bids = self.route(encoded)
-        return np.bincount(bids, minlength=self.n_leaves)
-
-
-def block_description(
-    rows: pd.DataFrame, schema: TableSchema, acs: dict[str, QueryNode]
-) -> Description:
-    """Min-max + dictionary-mask + AC-bit description of one block's rows.
-
-    The per-block reference that tests check :func:`block_stats` against.
-    An empty block yields an empty description (prunes everything).
-    """
-    ranges: dict[str, Interval] = {}
-    masks: dict[str, np.ndarray] = {}
-    ac_bits: dict[str, tuple[bool, bool]] = {}
-    empty = len(rows) == 0
-    for name, spec in schema.columns.items():
-        if spec.kind == CATEGORICAL:
-            m = np.zeros(spec.cardinality, dtype=bool)
-            if not empty:
-                m[np.unique(rows[name].to_numpy()).astype(int)] = True
-            masks[name] = m
-        else:
-            if empty:
-                ranges[name] = Interval(1.0, 0.0)  # empty interval
-            else:
-                col = rows[name].to_numpy()
-                ranges[name] = Interval(float(col.min()), float(col.max()))
-    for ac_name, pred in acs.items():
-        if empty:
-            ac_bits[ac_name] = (False, False)
-        else:
-            m = eval_mask(pred, rows)
-            ac_bits[ac_name] = (bool(m.any()), bool((~m).any()))
-    return Description(ranges, masks, ac_bits)
-
 
 @dataclass
 class Layout:
@@ -223,9 +185,9 @@ def block_stats(
     This is the uniform block-stats metadata (what a Parquet/zone-map engine
     keeps) used to score and route *every* layout: per block, the min-max
     range of each numeric column, the mask of the categorical codes present
-    and the AC bits (of the AdvPreds in ``acs``) of its rows. Block ``b``
-    gets exactly ``block_description(encoded[bids == b], ...)``; a block
-    with no rows gets the empty description.
+    and the AC bits (of the AdvPreds in ``acs``) of its rows. NaN (NULL)
+    values, which match no range predicate, are left out of the min-max
+    range. A block with no rows gets the empty description.
     """
     bids = np.asarray(bids)
     sizes = np.bincount(bids, minlength=n_blocks)
@@ -238,8 +200,8 @@ def block_stats(
     hi = np.full((n_blocks, len(space.num)), 0.0)
     for name, j in space.num.items():
         col = encoded[name].to_numpy()[order]
-        lo[present, j] = np.minimum.reduceat(col, starts)
-        hi[present, j] = np.maximum.reduceat(col, starts)
+        lo[present, j] = np.fmin.reduceat(col, starts)
+        hi[present, j] = np.fmax.reduceat(col, starts)
     masks = np.zeros((n_blocks, space.width), dtype=bool)
     for name, (off, _) in space.cat.items():
         masks[bids, off + encoded[name].to_numpy().astype(int)] = True

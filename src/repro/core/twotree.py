@@ -48,10 +48,6 @@ class TwoTreeLayout:
     def access_fraction(self) -> float:
         return self.tuples_accessed / (self.n_rows * len(self.choice))
 
-    def route_query(self, qi: int) -> QdTree:
-        """The tree a given workload query executes against."""
-        return self.tree2 if self.choice[qi] else self.tree1
-
 
 def two_tree_layout(
     encoded: pd.DataFrame,

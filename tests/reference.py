@@ -1,6 +1,8 @@
-"""Semantic descriptions of qd-tree nodes (paper Table 1 + Sec 6.1).
+"""The tests' reference for semantic descriptions (paper Table 1, Sec 6.1).
 
-A node's description has three parts:
+The program holds every description as a row of
+:class:`repro.core.intersect.Blocks`. This module is the independent,
+one-description-at-a-time form the tests hold those arrays to:
 
 * ``ranges`` — per numeric/date column, a closed :class:`Interval`
   ``[lo, hi]`` (the paper's ``n.range`` hypercube); a strict cut ``x < v``
@@ -9,33 +11,30 @@ A node's description has three parts:
 * ``masks`` — per categorical column, a ``|Dom|``-bit boolean vector
   (``n.categorical_mask``): bit 0 ⇒ that value definitively absent;
 * ``acs`` — per advanced cut, a ``(may_true, may_false)`` pair. The paper
-  stores one "may contain satisfying rows" bit; we keep the complementary
-  bit too so the ¬AC side of a cut can also prune queries.
+  stores one "may contain satisfying rows" bit; the complementary bit lets
+  the ¬AC side of a cut prune queries too.
 
-The two operations that matter:
-
-* :meth:`Description.restrict` — apply a cut (or its negation) to produce a
-  child description; this is how routing-tree semantics are propagated.
-* :meth:`Description.may_intersect` — sound intersection test against a
-  query AST: it may return ``True`` for a block with no matching rows
-  (false positive ⇒ wasted scan) but never ``False`` for a block that
-  contains a matching row (which would lose results). Each atom of the
-  query's AND/OR tree tests only its own field: a range atom one interval,
-  a categorical atom one mask, an AC atom one bit.
-
-Construction, scoring and routing hold descriptions as
-:class:`~.intersect.Blocks` rows; this form is their tested reference,
-the root's value, overlap's regions and :func:`~.qdtree.block_description`.
+:meth:`Description.restrict` applies a cut (or its negation) to give a
+child description. :meth:`Description.may_intersect` walks a query's AND/OR
+tree: it may return ``True`` for a block with no matching rows, never
+``False`` for a block that holds one. Each atom tests only its own field: a
+range atom one interval, a categorical atom one mask, an AC atom one bit.
+:func:`block_description` is the per-block reference of
+:func:`repro.core.qdtree.block_stats`; :func:`blocks_of` and
+:func:`descriptions` convert between the two forms.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+import pandas as pd
 
-from .predicates import AdvPred, And, Or, Pred
-from .schema import CATEGORICAL, TableSchema
+from repro.core.intersect import Blocks, Space
+from repro.core.predicates import AdvPred, And, Node, Or, Pred, eval_mask
+from repro.core.schema import CATEGORICAL, TableSchema
 
 
 @dataclass(frozen=True)
@@ -165,3 +164,65 @@ class Description:
         if isinstance(q, Or):
             return any(self.may_intersect(c) for c in q.children)
         raise TypeError(f"unknown query node {q!r}")
+
+
+def block_description(rows: pd.DataFrame, schema: TableSchema, acs: dict[str, Node]) -> Description:
+    """Min-max + dictionary-mask + AC-bit description of one block's rows.
+
+    NaN (NULL) values are left out of the min-max range. An empty block
+    yields an empty description (prunes everything).
+    """
+    ranges: dict[str, Interval] = {}
+    masks: dict[str, np.ndarray] = {}
+    ac_bits: dict[str, tuple[bool, bool]] = {}
+    empty = len(rows) == 0
+    for name, spec in schema.columns.items():
+        if spec.kind == CATEGORICAL:
+            m = np.zeros(spec.cardinality, dtype=bool)
+            if not empty:
+                m[np.unique(rows[name].to_numpy()).astype(int)] = True
+            masks[name] = m
+        elif empty:
+            ranges[name] = Interval(1.0, 0.0)  # empty interval
+        else:
+            col = rows[name].to_numpy()
+            ranges[name] = Interval(float(np.nanmin(col)), float(np.nanmax(col)))
+    for ac_name, pred in acs.items():
+        if empty:
+            ac_bits[ac_name] = (False, False)
+        else:
+            m = eval_mask(pred, rows)
+            ac_bits[ac_name] = (bool(m.any()), bool((~m).any()))
+    return Description(ranges, masks, ac_bits)
+
+
+def blocks_of(descs: Sequence[Description], space: Space) -> Blocks:
+    """The descriptions as the rows of one :class:`Blocks`."""
+    n = len(descs)
+    ranges = [[d.ranges[c] for c in space.num] for d in descs]
+    acs = np.array([[d.acs[a] for a in space.ac] for d in descs], dtype=bool)
+    acs = acs.reshape(n, len(space.ac), 2)
+    return Blocks(
+        space,
+        np.array([[iv.lo for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
+        np.array([[iv.hi for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
+        np.array([np.concatenate([d.masks[c] for c in space.cat] or [[]])
+                  for d in descs], dtype=bool).reshape(n, space.width),
+        acs[:, :, 0],
+        acs[:, :, 1],
+    )
+
+
+def descriptions(blocks: Blocks) -> list[Description]:
+    """The rows of ``blocks`` as :class:`Description` objects."""
+    space = blocks.space
+    return [
+        Description(
+            {c: Interval(float(blocks.lo[b, j]), float(blocks.hi[b, j]))
+             for c, j in space.num.items()},
+            {c: blocks.masks[b, off:off + card] for c, (off, card) in space.cat.items()},
+            {a: (bool(blocks.may_true[b, j]), bool(blocks.may_false[b, j]))
+             for a, j in space.ac.items()},
+        )
+        for b in range(len(blocks))
+    ]

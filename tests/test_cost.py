@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.cost import LayoutMetrics, evaluate_layout
 from repro.core.predicates import AdvPred, And, Pred, eval_mask
-from repro.core.qdtree import block_description
 from repro.core.schema import infer_schema
+
+from .reference import block_description
 
 
 @pytest.fixture(scope="module")

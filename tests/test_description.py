@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.description import Description, Interval
 from repro.core.predicates import AdvPred, And, Or, Pred, eval_mask
 from repro.core.schema import infer_schema
+
+from .reference import Description, Interval
 
 OPS = ["<", "<=", ">", ">="]
 LITERALS = st.one_of(st.integers(0, 20), st.floats(0, 20))

@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.cost import evaluate_layout, per_query_accessed
 from repro.core.cuts import extract_cuts
-from repro.core.description import Description, Interval
 from repro.core.greedy import greedy_qdtree
+from repro.core.intersect import Blocks, Space
 from repro.core.overlap import (
     OverlapLayout,
     are_neighbors,
@@ -21,6 +21,8 @@ from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.schema import infer_schema
 from repro.core.twotree import two_tree_layout
 from repro.workloads import asts
+
+from .reference import Description, Interval, blocks_of
 
 
 # ------------------------------------------------------- Fig 4 scenario
@@ -80,8 +82,8 @@ def test_relaxed_greedy_carves_small_block(fig4_band):
     cuts = extract_cuts(W)
     strict = greedy_qdtree(enc, sch, cuts, W, b=N, relaxed=False)
     relaxed = greedy_qdtree(enc, sch, cuts, W, b=N, relaxed=True)
-    assert (strict.leaf_sizes(enc) >= N).all()
-    sizes = relaxed.leaf_sizes(enc)
+    assert (np.bincount(strict.route(enc), minlength=strict.n_leaves) >= N).all()
+    sizes = np.bincount(relaxed.route(enc), minlength=relaxed.n_leaves)
     assert sizes.min() < N  # the singleton boundary block was carved out
     assert relaxed.n_leaves > strict.n_leaves
 
@@ -168,7 +170,7 @@ def test_overlap_pinned(name, bundle, request):
 def _desc2d(x: Interval, y: Interval, sch):
     d = Description.root(sch)
     d.ranges = {"x": x, "y": y}
-    return d
+    return blocks_of([d], Space.of(sch))
 
 
 def _half_open(lo, hi) -> Interval:
@@ -237,8 +239,8 @@ def sch_cat():
 
 def test_covers_ac_bits(sch_cat):
     ac = AdvPred("z", "x", "<", "x")
-    root = Description.root(sch_cat, ("z",))
-    only_true = root.restrict(ac, True)  # AC bits (True, False)
+    root = Blocks.root(sch_cat, ("z",))
+    only_true = root.split(ac)[:1]  # AC bits (True, False)
     assert covers(root, ac, sch_cat)
     assert covers(only_true, ac, sch_cat)
     assert not covers(only_true, ac.negate(), sch_cat)
@@ -248,7 +250,7 @@ def test_covers_ac_bits(sch_cat):
 
 
 def test_covers_categorical_in(sch_cat):
-    blk = Description.root(sch_cat).restrict(Pred("c", "in", frozenset([0, 1])), True)
+    blk = Blocks.root(sch_cat).split(Pred("c", "in", frozenset([0, 1])))[:1]
     assert covers(blk, Pred("c", "in", frozenset([0, 1])), sch_cat)
     assert covers(blk, Pred("c", "=", 1), sch_cat)
     assert not covers(blk, Pred("c", "in", frozenset([1, 2])), sch_cat)
@@ -307,9 +309,12 @@ def test_two_tree_query_routing(tpch_bundle, tpch_cuts):
                              ac_names=tpch_bundle.ac_names)
 
     tt = two_tree_layout(enc, sch, W, build, acs=tpch_bundle.acs)
-    for qi in range(len(W)):
-        t = tt.route_query(qi)
-        assert t is (tt.tree2 if tt.choice[qi] else tt.tree1)
+    # each query runs on its chosen tree, the one that reads fewer rows
+    bids = [tt.tree1.route(enc), tt.tree2.route(enc)]
+    got = [per_query_accessed(enc, bids[c], sch, [q], tpch_bundle.acs)[0]
+           for c, q in zip(tt.choice, W)]
+    assert got == np.minimum(tt.accessed1, tt.accessed2).tolist()
+    assert sum(got) == tt.tuples_accessed
 
 
 def test_per_query_accessed_matches_evaluate(tpch_bundle, tpch_tree):

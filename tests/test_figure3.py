@@ -49,7 +49,7 @@ def test_woodblock_finds_the_four_block_layout(results, tiny2d):
     _, _, enc = tiny2d
     assert wb.tree.n_leaves == 4
     # the majority block (middle cpu, disk>=0.01) is skipped by BOTH queries
-    sizes = wb.tree.leaf_sizes(enc)
+    sizes = np.bincount(wb.tree.route(enc), minlength=wb.tree.n_leaves)
     big = int(np.argmax(sizes))
     assert sizes[big] > 0.7 * len(enc)
     assert big not in wb.tree.query_bids(Q1)

@@ -13,7 +13,7 @@ from repro.workloads import asts
 
 
 def test_min_block_size_respected(tpch_bundle, tpch_tree):
-    sizes = tpch_tree.leaf_sizes(tpch_bundle.encoded)
+    sizes = np.bincount(tpch_tree.route(tpch_bundle.encoded), minlength=tpch_tree.n_leaves)
     assert (sizes >= 150).all()
 
 
@@ -48,7 +48,7 @@ def test_larger_b_fewer_leaves(tpch_bundle, tpch_cuts):
     small = greedy_qdtree(enc, sch, tpch_cuts, W, 150, ac_names=tpch_bundle.ac_names)
     large = greedy_qdtree(enc, sch, tpch_cuts, W, 1200, ac_names=tpch_bundle.ac_names)
     assert large.n_leaves < small.n_leaves
-    assert (large.leaf_sizes(enc) >= 1200).all()
+    assert (np.bincount(large.route(enc), minlength=large.n_leaves) >= 1200).all()
 
 
 def test_greedy_stuck_on_disjunctive_queries(tiny2d):
@@ -139,5 +139,5 @@ def test_legal_relaxed_rejects_empty_child():
 
 
 def test_leaf_n_rows_match_leaf_sizes(tpch_bundle, tpch_tree):
-    sizes = tpch_tree.leaf_sizes(tpch_bundle.encoded)
+    sizes = np.bincount(tpch_tree.route(tpch_bundle.encoded), minlength=tpch_tree.n_leaves)
     assert [lf.n_rows for lf in tpch_tree.leaves] == sizes.tolist()

@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 
 from repro.core.cost import per_query_accessed
 from repro.core.cuts import extract_cuts
-from repro.core.description import Description, Interval
 from repro.core.greedy import greedy_qdtree
-from repro.core.intersect import Blocks, Space, compile_workload
+from repro.core.intersect import Space, compile_workload
 from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.qdtree import block_stats
 from repro.core.schema import CATEGORICAL, NUMERIC, ColumnSpec, TableSchema
 from repro.core.woodblock import WoodblockConfig, woodblock_qdtree
 from repro.workloads import asts
+
+from .reference import Description, Interval, blocks_of, descriptions
 
 
 def _walk(descs, W) -> np.ndarray:
@@ -43,7 +44,7 @@ def bundle_trees(request):
 def test_tree_routing_matches_walk(bundle_trees):
     _, W, trees = bundle_trees
     for name, tree in trees.items():
-        want = _walk(tree.blocks.descriptions(), W)
+        want = _walk(descriptions(tree.blocks), W)
         assert np.array_equal(tree.blocks.intersects(W), want), name
         assert [tree.query_bids(q) for q in W] == [np.flatnonzero(c).tolist() for c in want.T]
 
@@ -58,13 +59,13 @@ def test_layout_routing_matches_walk(bundle_trees):
         n_blocks = tree.n_leaves + 2
         layout = block_stats(enc[keep], bids[keep], bd.schema, bd.acs, n_blocks)
         assert (layout.sizes[[0, tree.n_leaves // 2, -2, -1]] == 0).all()
-        want = _walk(layout.blocks.descriptions(), W)
+        want = _walk(descriptions(layout.blocks), W)
         assert np.array_equal(layout.blocks.intersects(W), want), name
         assert [layout.query_bids(q) for q in W] == [np.flatnonzero(c).tolist() for c in want.T]
         assert [layout.accessed(q) for q in W] == (layout.sizes @ want).tolist()
         full = block_stats(enc, bids, bd.schema, bd.acs, tree.n_leaves)
         assert (per_query_accessed(enc, bids, bd.schema, W, bd.acs).tolist()
-                == (full.sizes @ _walk(full.blocks.descriptions(), W)).tolist())
+                == (full.sizes @ _walk(descriptions(full.blocks), W)).tolist())
 
 
 def _leaf_paths(node, path=()):
@@ -81,7 +82,7 @@ def test_leaf_rows_match_restrict_walk(bundle_trees):
     bd, _, trees = bundle_trees
     root = Description.root(bd.schema, bd.ac_names)
     for name, tree in trees.items():
-        rows = tree.blocks.descriptions()
+        rows = descriptions(tree.blocks)
         for leaf, path in _leaf_paths(tree.root):
             want = root
             for cut, side in path:
@@ -154,7 +155,7 @@ TRAPS = [
 @pytest.mark.parametrize("desc, q, want", TRAPS)
 def test_semantic_traps(desc, q, want):
     assert desc.may_intersect(q) is want
-    assert Blocks.of([desc], ABC_SPACE).intersects([q]).tolist() == [[want]]
+    assert blocks_of([desc], ABC_SPACE).intersects([q]).tolist() == [[want]]
 
 
 # ----------------------------------------------- random descriptions, queries
@@ -189,7 +190,7 @@ QUERIES = st.recursive(
 @given(st.lists(DESCS, min_size=1, max_size=6), st.lists(QUERIES, min_size=1, max_size=5))
 @settings(max_examples=300, deadline=None)
 def test_kernel_matches_walk(descs, W):
-    blocks = Blocks.of(descs, ABC_SPACE)
+    blocks = blocks_of(descs, ABC_SPACE)
     want = _walk(descs, W)
     assert np.array_equal(blocks.intersects(W), want)
     for q, col in zip(W, want.T):
@@ -218,7 +219,7 @@ def test_split_counts_match_restrict_walk(tpch_bundle):
         desc = root
         for ci in rng.choice(len(cuts), size=rng.integers(0, 7)):
             desc = desc.restrict(cuts[ci], bool(rng.integers(2)))
-        row = Blocks.of([desc], space)
+        row = blocks_of([desc], space)
         active = [qi for qi, q in enumerate(W) if desc.may_intersect(q)]
         boxes = wl.active_boxes(row)
         assert wl.n_active(boxes) == len(active)
@@ -229,11 +230,11 @@ def test_split_counts_match_restrict_walk(tpch_bundle):
             assert (a_l[ci], a_r[ci]) == (len(ref_l), len(ref_r)), cut
             if ci % 10 == 0:
                 kids = row.split(cut)
-                for got, want in zip(kids.descriptions(), (ld, rd)):
+                for got, want in zip(descriptions(kids), (ld, rd)):
                     assert got.ranges == want.ranges and got.acs == want.acs, cut
-                assert np.array_equal(kids.masks, Blocks.of([ld, rd], space).masks)
+                assert np.array_equal(kids.masks, blocks_of([ld, rd], space).masks)
                 # grow tests the children against the node's active boxes only
                 held = wl.box_truth(kids, boxes)
                 for b_kid, d in zip(held, (ld, rd)):
                     assert np.array_equal(boxes[b_kid],
-                                          wl.active_boxes(Blocks.of([d], space)))
+                                          wl.active_boxes(blocks_of([d], space)))

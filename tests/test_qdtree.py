@@ -6,13 +6,14 @@ import pandas as pd
 import pytest
 
 from repro.core.cost import evaluate_layout
-from repro.core.description import Interval
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks
 from repro.core.predicates import AdvPred, And, Pred, eval_mask
-from repro.core.qdtree import QdTree, TreeNode, block_description, block_stats
+from repro.core.qdtree import QdTree, TreeNode, block_stats
 from repro.core.schema import infer_schema
 from repro.workloads import asts
+
+from .reference import Interval, block_description, descriptions
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def test_completeness_every_row_satisfies_its_leaf(manual_tree):
         # evaluate the leaf's range description as a data predicate; for a
         # pure range tree it must coincide exactly with leaf membership
         m = np.ones(len(enc), dtype=bool)
-        for col, iv in lf.desc.descriptions()[0].ranges.items():
+        for col, iv in descriptions(lf.desc)[0].ranges.items():
             v = enc[col].to_numpy()
             m &= (iv.lo <= v) & (v <= iv.hi)
         assert (m == in_leaf).all()
@@ -98,7 +99,7 @@ def test_query_bids_rows_outside_domain():
     root.split(Pred("x", ">", 150.0))
     tree = QdTree.build(root, sch)
     assert tree.route(enc).tolist() == [1, 1, 0, 0]
-    assert tree.blocks.descriptions()[0].ranges["x"].is_empty()
+    assert descriptions(tree.blocks)[0].ranges["x"].is_empty()
     assert tree.query_bids(Pred("y", "<", 10.0)) == [0, 1]
     # Still lost: the root range is clamped to the domain, so no leaf
     # admits x > 150 although bid 0 holds such rows.
@@ -113,7 +114,7 @@ def test_query_bids_prunes(manual_tree):
 
 def test_leaf_sizes(manual_tree):
     tree, enc = manual_tree
-    sizes = tree.leaf_sizes(enc)
+    sizes = np.bincount(tree.route(enc), minlength=tree.n_leaves)
     assert sizes.sum() == len(enc)
     assert len(sizes) == 3
 
@@ -122,8 +123,8 @@ def test_layout_stats_within_leaf_regions(manual_tree):
     tree, enc = manual_tree
     bids = tree.route(enc)
     layout = block_stats(enc, bids, tree.schema, {}, tree.n_leaves)
-    regions = tree.blocks.descriptions()
-    for region, stats, size in zip(regions, layout.blocks.descriptions(), layout.sizes):
+    regions = descriptions(tree.blocks)
+    for region, stats, size in zip(regions, descriptions(layout.blocks), layout.sizes):
         for col, iv in stats.ranges.items():
             assert iv.lo >= region.ranges[col].lo - 1e-9
             assert iv.hi <= region.ranges[col].hi + 1e-9
@@ -150,7 +151,7 @@ def test_block_stats_matches_block_description(tpch_bundle, tpch_tree):
     bids = tpch_tree.route(enc)
     n_blocks = tpch_tree.n_leaves + 2  # the last two ids hold no rows
     layout = block_stats(enc, bids, sch, acs, n_blocks)
-    descs, sizes = layout.blocks.descriptions(), layout.sizes
+    descs, sizes = descriptions(layout.blocks), layout.sizes
     assert len(descs) == n_blocks
     assert (sizes == np.bincount(bids, minlength=n_blocks)).all()
     for b, desc in enumerate(descs):
@@ -169,12 +170,24 @@ def test_layout_block_without_rows(manual_tree):
     rows = enc[enc["cpu"] >= 50.0]  # misses leaves 0 and 1
     layout = block_stats(rows, tree.route(rows), tree.schema, {}, tree.n_leaves)
     assert layout.sizes.tolist() == [0, 0, len(rows)]
-    for stats in layout.blocks.descriptions()[:2]:
+    for stats in descriptions(layout.blocks)[:2]:
         assert stats.ranges == {c: Interval(1.0, 0.0) for c in ("cpu", "disk")}
         assert stats.is_empty()
     for q in [Pred("cpu", "<", 100.0), Pred("disk", ">=", 0.0),
               And([Pred("cpu", ">", 60.0), Pred("disk", "<", 0.1)])]:
         assert layout.query_bids(q) == [2]
+
+
+def test_block_stats_skips_nan():
+    """A NULL (NaN) value leaves a block's min-max range to its other rows,
+    so the block is still routed the queries those rows match."""
+    pdf = pd.DataFrame({"x": [1.0, 2.0, np.nan]})
+    sch = infer_schema(pdf, domains={"x": (0.0, 10.0)})
+    enc = sch.encode(pdf)
+    layout = block_stats(enc, np.zeros(3, dtype=np.int64), sch, {}, 1)
+    assert (layout.blocks.lo.tolist(), layout.blocks.hi.tolist()) == ([[1.0]], [[2.0]])
+    assert descriptions(layout.blocks)[0].ranges == block_description(enc, sch, {}).ranges
+    assert layout.query_bids(Pred("x", "<", 5.0)) == [0]
 
 
 def test_layout_ac_query_needs_ac_stats():

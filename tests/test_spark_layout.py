@@ -1,5 +1,7 @@
 """Spark physical layout: Catalyst routing parity, partition pruning, and
 DuckDB-oracle correctness of query results over qd-tree layouts."""
+import functools
+
 import duckdb
 import numpy as np
 import pandas as pd
@@ -183,7 +185,7 @@ def test_layout_preserves_row_count(spark, tpch_bundle, written_tree_layout):
 
 
 def test_rows_in_blocks_matches_leaf_sizes(spark, tpch_bundle, tpch_tree, written_tree_layout):
-    sizes = tpch_tree.leaf_sizes(tpch_bundle.encoded)
+    sizes = np.bincount(tpch_tree.route(tpch_bundle.encoded), minlength=tpch_tree.n_leaves)
     df = open_layout(spark, written_tree_layout)
     bids = [0, 1]
     assert df.filter(F.col("bid").isin(bids)).count() == int(sizes[bids].sum())
@@ -261,31 +263,61 @@ def test_oracle_equivalence_on_layout(spark, tpch_bundle, tpch_tree, written_tre
     assert_equivalent(got, sql, t=tpch_bundle.raw)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_whole_workload_matches_duckdb(
-    spark, tpch_bundle, tpch_tree, tpch_layout, written_tree_layout,
-    written_baseline_layout, mode,
-):
+@pytest.fixture(scope="module")
+def errlog_layouts(spark, layout_dir, errlog_int_bundle, errlog_ext_bundle):
+    """ErrorLog bundle name -> (bundle, Greedy tree, its block stats, tree
+    layout path, random baseline layout path), written on first use."""
+    bundles = {"errlog_int": errlog_int_bundle, "errlog_ext": errlog_ext_bundle}
+
+    @functools.cache
+    def layouts(name):
+        bd = bundles[name]
+        enc, sch, W = bd.encoded, bd.schema, asts(bd.queries)
+        tree = greedy_qdtree(enc, sch, extract_cuts(W), W, bd.b, ac_names=bd.ac_names)
+        stats = block_stats(enc, tree.route(enc), sch, bd.acs, tree.n_leaves)
+        tree_path, baseline_path = f"{layout_dir}/{name}_tree", f"{layout_dir}/{name}_baseline"
+        write_tree_layout(spark_df_from_raw(spark, bd.raw, sch), tree, tree_path)
+        n = len(bd.raw)
+        write_bid_layout(spark, bd.raw, random_partition(n, -(-n // tree.n_leaves), seed=0),
+                         sch, baseline_path)
+        return bd, tree, stats, tree_path, baseline_path
+
+    return layouts
+
+
+@pytest.mark.parametrize(
+    "bundle, mode",
+    [pytest.param("tpch", m, id=m) for m in MODES]
+    + [pytest.param(n, m, id=f"{n}-{m}") for n in ("errlog_int", "errlog_ext") for m in MODES],
+)
+def test_whole_workload_matches_duckdb(request, spark, errlog_layouts, bundle, mode):
     """Per-query match counts of every workload query, from one Spark job
     per layout mode, equal DuckDB's over the raw table and numpy's over the
     encoded one. Spark counts by the filter strings ``read_routed`` sends.
     Routed mode counts only the rows inside the query's routed blocks,
     under both routers (leaf descriptions and block stats), so a block that
-    query routing wrongly prunes shows up as a lower count."""
-    sch, W = tpch_bundle.schema, asts(tpch_bundle.queries)
-    path = written_baseline_layout if mode == "baseline" else written_tree_layout
+    query routing wrongly prunes shows up as a lower count. The ErrorLog
+    workloads add categorical ``IN`` lists and string literals."""
+    if bundle == "tpch":
+        bd, tree, stats, tree_path, baseline_path = map(request.getfixturevalue, (
+            "tpch_bundle", "tpch_tree", "tpch_layout", "written_tree_layout",
+            "written_baseline_layout"))
+    else:
+        bd, tree, stats, tree_path, baseline_path = errlog_layouts(bundle)
+    sch, W = bd.schema, asts(bd.queries)
+    path = baseline_path if mode == "baseline" else tree_path
     routers = {"all": None}
     if mode == "qdtree":
-        routers = {"tree": tpch_tree, "stats": tpch_layout}
+        routers = {"tree": tree, "stats": stats}
     counts, sql, want = [], [], []
     for name, router in routers.items():
         for i, q in enumerate(W):
             cond = F.expr(routed_condition(q, sch, router))
             counts.append(F.count(F.when(cond, 1)).alias(f"{name}{i}"))
             sql.append(f"count_if({to_sql(q, sch)}) AS {name}{i}")
-            want.append(int(eval_mask(q, tpch_bundle.encoded).sum()))
+            want.append(int(eval_mask(q, bd.encoded).sum()))
     got = spark.read.parquet(path).agg(*counts)
-    assert_equivalent(got, f"SELECT {', '.join(sql)} FROM t", t=tpch_bundle.raw)
+    assert_equivalent(got, f"SELECT {', '.join(sql)} FROM t", t=bd.raw)
     assert list(got.collect()[0]) == want
 
 

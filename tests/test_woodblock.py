@@ -4,14 +4,15 @@ import pytest
 
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
-from repro.core.description import Description, Interval
 from repro.core.greedy import greedy_qdtree
-from repro.core.intersect import Blocks, Space
+from repro.core.intersect import Space
 from repro.core.predicates import Or, Pred
 from repro.core.schema import CATEGORICAL, DATE, NUMERIC, ColumnSpec, TableSchema
 from repro.core.woodblock import Featurizer, WoodblockConfig, woodblock_qdtree
 from repro.experiments.table2 import make_bundle
 from repro.workloads import asts
+
+from .reference import Description, Interval, blocks_of
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def test_featurizer_dim_and_values(tpch_bundle):
     for _ in range(20):
         d = descs[rng.integers(len(descs))]
         descs.append(d.restrict(cuts[rng.integers(len(cuts))], bool(rng.integers(2))))
-    rows = Blocks.of(descs, Space.of(sch, ac_names))
+    rows = blocks_of(descs, Space.of(sch, ac_names))
     v = f(rows)
     assert v.shape == (len(descs), f.dim) and v.dtype == np.float64
     assert v.min() >= 0.0 and v.max() <= 1.0
@@ -56,7 +57,7 @@ def test_featurizer_order():
         {"u": (True, False)},
     )
     f = Featurizer(sch, ("u",))
-    v = f(Blocks.of([desc], Space.of(sch, ("u",))))
+    v = f(blocks_of([desc], Space.of(sch, ("u",))))
     assert f.dim == 11
     assert v.tolist() == [[1, 0, 1, 0.25, 0.5, 0, 1, 0.0, 0.5, 1, 0]]
 
@@ -65,7 +66,7 @@ def test_trees_respect_sample_min_size(fig3):
     enc, sch, W, cuts = fig3
     res = woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
                            config=WoodblockConfig(episodes=3, seed=1))
-    sizes = res.tree.leaf_sizes(enc)
+    sizes = np.bincount(res.tree.route(enc), minlength=res.tree.n_leaves)
     assert (sizes >= 100).all()
 
 
@@ -167,7 +168,7 @@ def test_leaf_n_rows_match_leaf_sizes(fig3):
     enc, sch, W, cuts = fig3
     res = woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
                            config=WoodblockConfig(episodes=4, seed=3))
-    sizes = res.tree.leaf_sizes(enc)
+    sizes = np.bincount(res.tree.route(enc), minlength=res.tree.n_leaves)
     assert [lf.n_rows for lf in res.tree.leaves] == sizes.tolist()
 
 
