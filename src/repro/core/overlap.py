@@ -58,28 +58,19 @@ def covers(regions: Blocks, q: Node, schema: TableSchema) -> np.ndarray:
     preds = _flatten_conjunction(q)
     if preds is None:
         return np.zeros(len(regions), dtype=bool)
-    region = Blocks.root(schema, tuple(regions.space.ac))
-    sides = _cut_effects(preds, region.space)
-    for k in range(len(preds)):
-        region = region.restrict(sides[k:k + 1])
-    if _is_empty(region):
-        return np.ones(len(regions), dtype=bool)
+    root = Blocks.root(schema, tuple(regions.space.ac))
+    # the conjunction's region: the root row and every conjunct's side, intersected
+    rows = Blocks.stack([root, _cut_effects(preds, root.space)[: len(preds)]])
+    lo, hi, masks = rows.lo.max(axis=0), rows.hi.min(axis=0), rows.masks.all(axis=0)
+    mt, mf = rows.may_true.all(axis=0), rows.may_false.all(axis=0)
+    if ((lo > hi).any() or (~mt & ~mf).any()
+            or any(not masks[off:off + card].any() for off, card in root.space.cat.values())):
+        return np.ones(len(regions), dtype=bool)  # q selects nothing
     return (
-        ((regions.lo <= region.lo) & (region.hi <= regions.hi)).all(axis=1)
-        & ~(region.masks & ~regions.masks).any(axis=1)
-        & ~(region.may_true & ~regions.may_true).any(axis=1)
-        & ~(region.may_false & ~regions.may_false).any(axis=1)
-    )
-
-
-def _is_empty(row: Blocks) -> bool:
-    """Does the one-row description admit no tuple: an empty range, an
-    all-False mask of one column, or an AC that can be neither true nor
-    false?"""
-    return bool(
-        (row.lo > row.hi).any()
-        or any(not row.masks[0, off:off + card].any() for off, card in row.space.cat.values())
-        or (~row.may_true & ~row.may_false).any()
+        ((regions.lo <= lo) & (hi <= regions.hi)).all(axis=1)
+        & ~(masks & ~regions.masks).any(axis=1)
+        & ~(mt & ~regions.may_true).any(axis=1)
+        & ~(mf & ~regions.may_false).any(axis=1)
     )
 
 

@@ -200,6 +200,11 @@ def test_not_neighbors_with_gap(sch2d):
     a = _desc2d(_half_open(0, 40), Interval(0, 100), sch2d)
     b = _desc2d(Interval(50, 100), Interval(0, 100), sch2d)
     assert not are_neighbors(a, b)
+    # adjacency counts in the one differing column only: y = [50, 50) is
+    # empty and shared, and ends one float below where it starts
+    a = _desc2d(_half_open(0, 40), _half_open(50, 50), sch2d)
+    b = _desc2d(Interval(50, 100), _half_open(50, 50), sch2d)
+    assert not are_neighbors(a, b)
 
 
 def test_not_neighbors_double_closed_overlap(sch2d):
