@@ -1,4 +1,6 @@
 """Bottom-Up baseline [45]: subsumption, feature selection, merging."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -10,10 +12,12 @@ from repro.baselines.bottom_up import (
     query_implies,
     select_features,
 )
+from repro.baselines import bottom_up
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.schema import infer_schema
+from repro.experiments.table2 import run_table2
 from repro.workloads import asts
 
 
@@ -196,3 +200,48 @@ def test_tpch_bottom_up_between_random_and_greedy(tpch_bundle, tpch_tree):
     m_rand = evaluate_layout(enc, random_partition(len(enc), 150, 0), sch, W, acs=tpch_bundle.acs)
     m_tree = evaluate_layout(enc, tpch_tree.route(enc), sch, W, acs=tpch_bundle.acs)
     assert m_tree.access_fraction < m_bu.access_fraction < m_rand.access_fraction
+
+
+# Per test bundle, for Bottom-Up and BU+ (selectivity cap 10 %): the chosen
+# feature indices into the bundle's cuts, and the SHA-1 of the block ids.
+_PINNED_FEATURES = {
+    "tpch": (
+        ([9, 0, 10, 79, 38, 39, 56, 58], "e18dfa99bf269f2e46baa049117fdd2df364d4eb"),
+        ([16, 36, 37, 56, 58, 85, 87], "2e3e2fca58fd7773cf629c1a0c148cb10a4a36c9"),
+    ),
+    "errlog-int": (
+        ([5], "41bbcf1c9d54e3586a067c91e18a1abf02c3145f"),
+        ([7, 1, 17, 40, 45, 69, 79, 26, 33, 43, 71, 91],
+         "68ee1d5ea051139989c2e395e7b061b1cbabc3ec"),
+    ),
+    "errlog-ext": (
+        ([3], "a8a3677bbd60c531716a0df55b7d2d63d32b0255"),
+        ([17, 41, 49, 0, 4, 9, 18, 22, 25, 28, 32, 35, 39, 46, 50],
+         "c75507ab89f9f441b20bfa6ef55d26a12f203022"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, bundle",
+    [("tpch", "tpch_bundle"), ("errlog-int", "errlog_int_bundle"),
+     ("errlog-ext", "errlog_ext_bundle")],
+)
+def test_bottom_up_features_pinned(name, bundle, request, monkeypatch):
+    """Records what feature selection returns inside ``run_table2``, so
+    the pin holds whatever arguments the selection takes."""
+    chosen = []
+    select = bottom_up.select_features
+
+    def spy(*args, **kwargs):
+        chosen.append(select(*args, **kwargs))
+        return chosen[-1]
+
+    monkeypatch.setattr(bottom_up, "select_features", spy)
+    rows = run_table2(request.getfixturevalue(bundle),
+                      approaches=("bottom-up", "bottom-up+"))
+    got = tuple(
+        (list(map(int, feats)), hashlib.sha1(row.bids.tobytes()).hexdigest())
+        for feats, row in zip(chosen, rows.values())
+    )
+    assert got == _PINNED_FEATURES[name]
