@@ -4,7 +4,8 @@ Pipeline (paper Sec 2.2.2 and 7.3):
 
 1. **Feature selection.** Candidate features are the same candidate-cut set
    fed to Greedy/WOODBLOCK. Each feature's frequency is initialised to the
-   number of workload queries it *subsumes* (query ⇒ feature). Features are
+   number of workload queries it *subsumes* (query ⇒ feature, by the
+   kernel's containment test: :func:`subsumption`). Features are
    considered in subsumption topological order: at each step a feature not
    subsumed by any other remaining candidate is chosen (max frequency
    first); the frequency of the others is discounted by the queries they
@@ -40,47 +41,23 @@ import numpy as np
 import pandas as pd
 
 from ..core.greedy import CutMatrix
-from ..core.predicates import AdvPred, And, Node, Or, Pred
+from ..core.intersect import Blocks, Space, compile_workload
+from ..core.predicates import AdvPred, Node, atoms
+from ..core.schema import TableSchema
 
 
 # ----------------------------------------------------------- subsumption
-def pred_implies(p1, p2) -> bool:
-    """Does satisfying ``p1`` guarantee satisfying ``p2``? (p1 ⊆ p2)"""
-    if p1 == p2:
-        return True
-    if isinstance(p1, AdvPred) or isinstance(p2, AdvPred):
-        return False  # distinct ACs are opaque to each other
-    if p1.attr != p2.attr:
-        return False
-    o1, o2, v1, v2 = p1.op, p2.op, p1.value, p2.value
-    if o1 in ("=", "in") and o2 in ("=", "in"):
-        s1 = v1 if o1 == "in" else frozenset([v1])
-        s2 = v2 if o2 == "in" else frozenset([v2])
-        return s1 <= s2
-    if o1 in ("=", "in") or o2 in ("=", "in"):
-        return False
-    # both range ops, same column
-    if o1 in ("<", "<=") and o2 in ("<", "<="):
-        return v1 < v2 or (v1 == v2 and not (o1 == "<=" and o2 == "<"))
-    if o1 in (">", ">=") and o2 in (">", ">="):
-        return v1 > v2 or (v1 == v2 and not (o1 == ">=" and o2 == ">"))
-    return False
-
-
-def query_implies(q: Node, f) -> bool:
-    """Does query ``q`` imply feature ``f`` (q is subsumed by f)?
-
-    A conjunction implies ``f`` if *any* conjunct does (the conjunction is
-    stricter than each conjunct); a disjunction implies ``f`` only if every
-    disjunct does.
-    """
-    if isinstance(q, (Pred, AdvPred)):
-        return pred_implies(q, f)
-    if isinstance(q, And):
-        return any(query_implies(c, f) for c in q.children)
-    if isinstance(q, Or):
-        return all(query_implies(c, f) for c in q.children)
-    raise TypeError(f"unknown query node {q!r}")
+def subsumption(schema: TableSchema, cuts: Sequence, workload: Sequence[Node]) -> tuple:
+    """``(implies, subsumes)``: ``implies[f, q]`` says query q implies
+    feature f (every row matching q satisfies cut f), ``subsumes[g, f]``
+    that feature f implies feature g. Both come from the kernel's
+    containment test over an unbounded base: implication between the
+    predicates themselves, whatever the column domains."""
+    acs = dict.fromkeys(a.name for q in (*cuts, *workload) for a in atoms(q)
+                        if isinstance(a, AdvPred))
+    space = Space.of(schema, tuple(acs))
+    feats, base = compile_workload((), space, cuts).sides[:len(cuts)], Blocks.full(space)
+    return feats.contains(workload, base), feats.contains(cuts, base)
 
 
 # ------------------------------------------------------- feature selection
@@ -92,37 +69,30 @@ class BottomUpConfig:
 
 
 def select_features(
-    cuts: Sequence,
-    workload: Sequence[Node],
+    implies: np.ndarray,
+    subsumes: np.ndarray,
     selectivities: np.ndarray,
     cfg: BottomUpConfig,
 ) -> list[int]:
-    """Indices into ``cuts`` of the selected features."""
-    cand = list(range(len(cuts)))
+    """Indices of the selected features, given :func:`subsumption`'s
+    matrices over the candidate cuts."""
+    remaining = np.ones(len(implies), dtype=bool)
     if cfg.selectivity_cap is not None:
-        cand = [i for i in cand if selectivities[i] <= cfg.selectivity_cap]
-    qsets = {i: {qi for qi, q in enumerate(workload) if query_implies(q, cuts[i])} for i in cand}
-    freq = {i: len(qsets[i]) for i in cand}
+        remaining &= selectivities <= cfg.selectivity_cap
+    freq = implies.sum(axis=1)
+    subsumed = subsumes & ~np.eye(len(subsumes), dtype=bool)
     chosen: list[int] = []
-    remaining = set(cand)
-    while remaining and len(chosen) < cfg.max_features:
+    while remaining.any() and len(chosen) < cfg.max_features:
         # subsumption topological order: prefer features not subsumed by
         # any other remaining candidate (i.e. maximal / most general)
-        maximal = [
-            i
-            for i in remaining
-            if not any(
-                j != i and pred_implies(cuts[i], cuts[j]) for j in remaining
-            )
-        ]
-        pool = maximal or sorted(remaining)
-        best = max(pool, key=lambda i: (freq[i], -i))
+        maximal = remaining & ~subsumed[remaining].any(axis=0)
+        pool = np.flatnonzero(maximal if maximal.any() else remaining)
+        best = int(pool[np.argmax(freq[pool])])  # ties: the lowest index
         if freq[best] < 1:  # the best candidate covers no uncovered query
             break
         chosen.append(best)
-        remaining.discard(best)
-        for j in remaining:
-            freq[j] -= len(qsets[j] & qsets[best])
+        remaining[best] = False
+        freq -= (implies & implies[best]).sum(axis=1)
     return chosen
 
 
@@ -130,12 +100,12 @@ def select_features(
 @dataclass
 class BottomUpResult:
     bids: np.ndarray  # per input row
-    feature_idx: list[int]  # chosen features (indices into the cut set)
     n_blocks: int
 
 
 def bottom_up_partition(
     encoded: pd.DataFrame,
+    schema: TableSchema,
     cuts: Sequence,
     workload: Sequence[Node],
     b: int,
@@ -146,14 +116,12 @@ def bottom_up_partition(
     n = len(encoded)
     cm = CutMatrix.build(cuts, encoded)
     sel = cm.masks.mean(axis=0) if len(cuts) else np.zeros(0)
-    feat_idx = select_features(cuts, workload, sel, cfg)
+    implies, subsumes = subsumption(schema, cuts, workload)
+    feat_idx = select_features(implies, subsumes, sel, cfg)
     if not feat_idx:
-        return BottomUpResult(np.zeros(n, dtype=np.int64), [], 1)
+        return BottomUpResult(np.zeros(n, dtype=np.int64), 1)
     fmat = cm.masks[:, feat_idx]  # (N, M) row feature vectors
-    cw = np.array(
-        [sum(query_implies(q, cuts[i]) for q in workload) for i in feat_idx],
-        dtype=np.float64,
-    )
+    cw = implies[feat_idx].sum(axis=1).astype(np.float64)
 
     vecs, inverse, counts = np.unique(
         fmat, axis=0, return_inverse=True, return_counts=True
@@ -176,7 +144,7 @@ def bottom_up_partition(
     bids_raw = group_of[inverse]
     # relabel to contiguous 0..k-1
     _, bids = np.unique(bids_raw, return_inverse=True)
-    return BottomUpResult(bids.astype(np.int64), feat_idx, int(bids.max()) + 1)
+    return BottomUpResult(bids.astype(np.int64), int(bids.max()) + 1)
 
 
 def _merge_blocks(

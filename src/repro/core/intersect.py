@@ -21,7 +21,13 @@ module answers it for every pair at once:
 * :meth:`Workload.box_truth` tests every (description, atom) pair on its
   own field — a range atom its interval, a categorical atom its mask, an
   AC atom one bit — and reduces atom truth to boxes with a float32
-  matmul; a second matmul reduces boxes to queries.
+  matmul; a second matmul reduces boxes to queries;
+* :meth:`Blocks.contains` (by :meth:`Workload.inside`) answers the
+  converse for overlap's redundancy pruning and Bottom-Up's subsumption:
+  does every row of a one-row base that matches the query lie inside the
+  block? Each box's region, the base restricted by its atoms' sides, must
+  be empty or inside the block: bounds by comparison, bits as subsets by
+  matmul.
 
 A box holds iff all its atoms do, and a query iff one of its boxes does.
 For boolean atom values that is the walk's AND/OR tree, so every answer
@@ -84,14 +90,21 @@ class Blocks:
     may_false: np.ndarray
 
     @staticmethod
+    def full(space: Space, n: int = 1) -> "Blocks":
+        """``n`` rows that keep everything: unbounded ranges, all-ones masks
+        and (True, True) AC bits."""
+        inf = np.full((n, len(space.num)), np.inf)
+        bits = [np.ones((n, w), dtype=bool) for w in (space.width, len(space.ac), len(space.ac))]
+        return Blocks(space, -inf, inf, *bits)
+
+    @staticmethod
     def root(schema: TableSchema, ac_names: Sequence[str] = ()) -> "Blocks":
         """The whole-table description as one row: each numeric column's
         schema domain, all-ones masks and (True, True) AC bits."""
-        space = Space.of(schema, ac_names)
-        dom = np.array([schema[c].domain for c in space.num], dtype=float).reshape(1, -1, 2)
-        ones = np.ones((1, len(space.ac)), dtype=bool)
-        return Blocks(space, dom[..., 0], dom[..., 1],
-                      np.ones((1, space.width), dtype=bool), ones, ones.copy())
+        out = Blocks.full(Space.of(schema, ac_names))
+        dom = np.array([schema[c].domain for c in out.space.num], dtype=float)
+        out.lo[0], out.hi[0] = dom.reshape(-1, 2).T
+        return out
 
     @staticmethod
     def stack(rows: Sequence["Blocks"]) -> "Blocks":
@@ -130,6 +143,11 @@ class Blocks:
     def intersects(self, queries: Sequence) -> np.ndarray:
         """(blocks, queries) bool: may block b hold a row matching query q?"""
         return compile_workload(queries, self.space).intersects(self)
+
+    def contains(self, queries: Sequence, base: "Blocks") -> np.ndarray:
+        """(blocks, queries) bool: does every row of the one-row ``base``
+        that matches query q lie inside block b?"""
+        return compile_workload(queries, self.space).inside(self, base)
 
     def query_bids(self, query) -> list[int]:
         """Ascending indices (plain ints) of the blocks ``query`` intersects."""
@@ -170,6 +188,7 @@ class Workload:
     box_atoms: np.ndarray  # (atoms, boxes) float32: atom in box
     box_query: np.ndarray  # (boxes, queries) float32: box of query
     box_q: np.ndarray  # (boxes,) query of each box, ascending
+    atoms: tuple  # the leaf predicates, in atom order
     sides: Blocks  # row c: where cut c holds; row n_cuts + c: where it does not
 
     # ------------------------------------------------------------- queries
@@ -190,6 +209,26 @@ class Workload:
     def intersects(self, b: Blocks) -> np.ndarray:
         """(blocks, queries) bool: does one of the query's boxes hold?"""
         return self.box_truth(b).astype(np.float32) @ self.box_query > 0
+
+    def inside(self, b: Blocks, base: Blocks) -> np.ndarray:
+        """(blocks, queries) bool: does every row of the one-row ``base``
+        that matches the query lie inside the block? Each box's region,
+        ``base`` restricted by the side of each atom where it holds, must
+        be empty or inside the block field by field."""
+        atom, box = np.nonzero(self.box_atoms)
+        sides = _cut_effects(self.atoms, self.space)[atom]
+        reg = base[np.zeros(self.box_atoms.shape[1], dtype=np.int64)]
+        np.maximum.at(reg.lo, box, sides.lo)
+        np.minimum.at(reg.hi, box, sides.hi)
+        for r, s in zip(reg._arrays[2:], sides._arrays[2:]):
+            np.logical_and.at(r, box, s)
+        starts = [off for off, _ in self.space.cat.values()]  # one mask group per column
+        empty = ((reg.lo > reg.hi).any(axis=1) | ~(reg.may_true | reg.may_false).all(axis=1)
+                 | (np.add.reduceat(reg.masks, starts, axis=1) == 0).any(axis=1))
+        bits = [np.concatenate(x._arrays[2:], axis=1).astype(np.float32) for x in (reg, b)]
+        subset = bits[0] @ (1 - bits[1]).T == 0  # (boxes, blocks): no bit the block lacks
+        held = ((b.lo[:, None] <= reg.lo) & (reg.hi <= b.hi[:, None])).all(axis=2) & subset.T
+        return (~(held | empty)).astype(np.float32) @ self.box_query == 0
 
     def n_active(self, boxes: np.ndarray) -> int:
         """Number of queries with a box among ``boxes`` (ascending)."""
@@ -220,11 +259,8 @@ def _cut_effects(cuts: Sequence, space: Space) -> Blocks:
     """Both sides of every cut as rows of the bounds and bits each keeps,
     row c where cut c holds and row ``len(cuts) + c`` where it does not."""
     n = len(cuts)
-    lo = np.full((2 * n, len(space.num)), -np.inf)
-    hi = np.full((2 * n, len(space.num)), np.inf)
-    keep = np.ones((2 * n, space.width), dtype=bool)
-    keep_t = np.ones((2 * n, len(space.ac)), dtype=bool)
-    keep_f = np.ones((2 * n, len(space.ac)), dtype=bool)
+    out = Blocks.full(space, 2 * n)
+    lo, hi, keep, keep_t, keep_f = out._arrays
     for i, cut in enumerate(cuts):
         if isinstance(cut, Pred) and cut.op in ("=", "in"):
             off, card = space.cat[cut.attr]
@@ -250,7 +286,7 @@ def _cut_effects(cuts: Sequence, space: Space) -> Blocks:
             keep_f[pos, j], keep_t[neg, j] = False, False
         else:
             raise TypeError(f"cannot restrict by {cut!r}")
-    return Blocks(space, lo, hi, keep, keep_t, keep_f)
+    return out
 
 
 def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Workload:
@@ -297,5 +333,5 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
         np.array([space.ac[a.name] for a in ac], dtype=np.int64),
         np.array([a.negated for a in ac], dtype=bool),
         box_atoms, box_query, np.array([qi for qi, _ in boxes], dtype=np.int64),
-        _cut_effects(cuts, space),
+        (*rng, *cat, *ac), _cut_effects(cuts, space),
     )

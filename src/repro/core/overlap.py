@@ -30,63 +30,10 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
-from .intersect import Blocks, _cut_effects
-from .predicates import AdvPred, And, Node, Or, Pred
+from .intersect import Blocks
+from .predicates import Node
 from .qdtree import Layout, QdTree, block_stats
 from .schema import TableSchema
-
-
-# --------------------------------------------------------------- coverage
-def covers(regions: Blocks, q: Node, schema: TableSchema) -> np.ndarray:
-    """Per row of ``regions``: a sound check that every tuple satisfying
-    ``q`` lies inside the row.
-
-    Conservative: may return False for a covering block (we then scan a
-    few redundant blocks — correct, just less efficient), never True for
-    a non-covering one. A conjunction of leaf predicates is handled exactly:
-    its region is the root row restricted by the side of each conjunct
-    where it holds, and it is covered iff that region is empty (the query
-    selects nothing) or lies inside the row field by field: bounds, masks
-    and AC bits. An OR covers iff every disjunct is covered; a conjunction
-    containing an OR never covers.
-    """
-    if isinstance(q, Or):
-        out = np.ones(len(regions), dtype=bool)
-        for c in q.children:
-            out &= covers(regions, c, schema)
-        return out
-    preds = _flatten_conjunction(q)
-    if preds is None:
-        return np.zeros(len(regions), dtype=bool)
-    root = Blocks.root(schema, tuple(regions.space.ac))
-    # the conjunction's region: the root row and every conjunct's side, intersected
-    rows = Blocks.stack([root, _cut_effects(preds, root.space)[: len(preds)]])
-    lo, hi, masks = rows.lo.max(axis=0), rows.hi.min(axis=0), rows.masks.all(axis=0)
-    mt, mf = rows.may_true.all(axis=0), rows.may_false.all(axis=0)
-    if ((lo > hi).any() or (~mt & ~mf).any()
-            or any(not masks[off:off + card].any() for off, card in root.space.cat.values())):
-        return np.ones(len(regions), dtype=bool)  # q selects nothing
-    return (
-        ((regions.lo <= lo) & (hi <= regions.hi)).all(axis=1)
-        & ~(masks & ~regions.masks).any(axis=1)
-        & ~(mt & ~regions.may_true).any(axis=1)
-        & ~(mf & ~regions.may_false).any(axis=1)
-    )
-
-
-def _flatten_conjunction(q: Node):
-    """Leaf predicates of a pure conjunction, or None if q contains OR."""
-    if isinstance(q, (Pred, AdvPred)):
-        return [q]
-    if isinstance(q, And):
-        out = []
-        for c in q.children:
-            sub = _flatten_conjunction(c)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    return None
 
 
 # -------------------------------------------------------------- neighbors
@@ -116,22 +63,26 @@ class OverlapLayout:
     rows: list[np.ndarray]
     stats: Layout
     extra_rows: int  # replicated tuples (storage overhead)
+    root: Blocks  # the whole table's row: the base of every coverage test
 
-    def query_blocks(self, q: Node, schema: TableSchema) -> list[int]:
+    def query_blocks(self, q: Node, schema: TableSchema | None = None) -> list[int]:
         """Intersecting blocks (by min-max stats), with completeness-based
         redundancy pruning: if some candidate's complete region covers the
         whole query region, that candidate alone suffices — scan the
-        smallest such block (Sec 6.2.1)."""
+        smallest such block (Sec 6.2.1). Covering is the kernel's sound
+        containment test over the root row the layout keeps, so ``schema``
+        is not read."""
         cands = self.stats.query_bids(q)
-        covering = [b for b, ok in zip(cands, covers(self.regions[cands], q, schema)) if ok]
+        if len(cands) < 2:  # nothing to prune
+            return cands
+        covered = self.regions[cands].contains([q], self.root)[:, 0]
+        covering = [b for b, ok in zip(cands, covered) if ok]
         if covering:
             return [min(covering, key=lambda b: self.stats.sizes[b])]
         return cands
 
-    def tuples_accessed(self, workload: Sequence[Node], schema: TableSchema) -> int:
-        return sum(
-            int(self.stats.sizes[self.query_blocks(q, schema)].sum()) for q in workload
-        )
+    def tuples_accessed(self, workload: Sequence[Node], schema: TableSchema | None = None) -> int:
+        return sum(int(self.stats.sizes[self.query_blocks(q)].sum()) for q in workload)
 
 
 def build_overlap_layout(
@@ -139,19 +90,23 @@ def build_overlap_layout(
 ) -> OverlapLayout:
     """Replicate each small (< b) leaf of a relaxed-construction tree into
     every neighbor large leaf, enlarging the neighbors' regions to the
-    union hull of both (Sec 6.2). Neighbors are tested on the leaves'
-    original descriptions. Min-max stats are then computed from each
-    block's final rows."""
+    union hull of both (Sec 6.2). A small leaf must neighbor both the large
+    leaf's original description and its region as grown so far: a region
+    grown along one column and then another would otherwise claim the
+    corner between them, which no block holds. Min-max stats are then
+    computed from each block's final rows."""
     bids = tree.route(encoded)
     leaves = tree.blocks
-    lo, hi = leaves.lo.copy(), leaves.hi.copy()
+    regions = leaves[np.arange(len(leaves))]  # a copy, widened in place
     rows = [np.flatnonzero(bids == lf.bid) for lf in tree.leaves]
     sizes = np.array([len(r) for r in rows])
     large = np.flatnonzero(sizes >= b)
     extra = 0
     for s in np.flatnonzero(sizes < b):
-        for g in large[are_neighbors(leaves[s:s + 1], leaves[large])]:
-            lo[g], hi[g] = np.minimum(lo[g], lo[s]), np.maximum(hi[g], hi[s])
+        small = leaves[s:s + 1]
+        for g in large[are_neighbors(small, leaves[large]) & are_neighbors(small, regions[large])]:
+            regions.lo[g] = np.minimum(regions.lo[g], leaves.lo[s])
+            regions.hi[g] = np.maximum(regions.hi[g], leaves.hi[s])
             rows[g] = np.concatenate([rows[g], rows[s]])
             extra += len(rows[s])
     stats = block_stats(
@@ -159,5 +114,4 @@ def build_overlap_layout(
         np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
         tree.schema, acs or {}, len(rows),
     )
-    regions = Blocks(leaves.space, lo, hi, leaves.masks, leaves.may_true, leaves.may_false)
-    return OverlapLayout(regions, rows, stats, extra)
+    return OverlapLayout(regions, rows, stats, extra, tree.root.desc)

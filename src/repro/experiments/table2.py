@@ -105,7 +105,6 @@ class Table2Row:
     seconds: float
     bids: np.ndarray
     tree: QdTree | None = None
-    extra: object = None
 
 
 def run_table2(
@@ -121,9 +120,9 @@ def run_table2(
     cuts = extract_cuts(W)
     out: dict[str, Table2Row] = {}
 
-    def score(bids, secs, tree=None, extra=None) -> Table2Row:
+    def score(bids, secs, tree=None) -> Table2Row:
         m = evaluate_layout(enc, bids, sch, W, acs=bundle.acs)
-        return Table2Row(m, secs, bids, tree, extra)
+        return Table2Row(m, secs, bids, tree)
 
     for ap in approaches:
         t0 = time.perf_counter()
@@ -137,8 +136,8 @@ def run_table2(
             cfg = BottomUpConfig(
                 selectivity_cap=0.10 if ap.endswith("+") else None
             )
-            res = bottom_up_partition(enc, cuts, W, b, cfg)
-            out[ap] = score(res.bids, time.perf_counter() - t0, extra=res)
+            res = bottom_up_partition(enc, sch, cuts, W, b, cfg)
+            out[ap] = score(res.bids, time.perf_counter() - t0)
         elif ap == "greedy":
             tree = greedy_qdtree(enc, sch, cuts, W, b, ac_names=bundle.ac_names)
             out[ap] = score(tree.route(enc), time.perf_counter() - t0, tree=tree)
@@ -152,10 +151,7 @@ def run_table2(
                 ac_names=bundle.ac_names,
                 config=woodblock_cfg or WoodblockConfig(),
             )
-            out[ap] = score(
-                res.tree.route(enc), time.perf_counter() - t0,
-                tree=res.tree, extra=res,
-            )
+            out[ap] = score(res.tree.route(enc), time.perf_counter() - t0, tree=res.tree)
         else:
             raise ValueError(f"unknown approach {ap!r}")
     return out

@@ -8,9 +8,8 @@ import pytest
 from repro.baselines.bottom_up import (
     BottomUpConfig,
     bottom_up_partition,
-    pred_implies,
-    query_implies,
     select_features,
+    subsumption,
 )
 from repro.baselines import bottom_up
 from repro.core.cost import evaluate_layout
@@ -21,7 +20,23 @@ from repro.experiments.table2 import run_table2
 from repro.workloads import asts
 
 
-# --------------------------------------------------------- pred_implies
+# ---------------------------------------------------------- subsumption
+@pytest.fixture(scope="module")
+def sch_abc():
+    """``a`` and ``b`` numeric, ``c`` categorical with codes 0..3."""
+    pdf = pd.DataFrame({"a": [0.0, 20.0], "b": [0.0, 20.0], "c": ["p", "s"]})
+    return infer_schema(pdf, categorical=["c"], domains={"c": ("p", "q", "r", "s")})
+
+
+def _implies(sch, q, f) -> bool:
+    """Does query ``q`` imply the cut ``f``, by Bottom-Up's query × cut
+    matrix?"""
+    return bool(subsumption(sch, [f], [q])[0][0, 0])
+
+
+# The table the AST rule Bottom-Up used before the containment test. Its
+# case ``c = 1`` vs ``c < 5`` is gone: a column is either categorical or
+# numeric, so no schema holds both predicates.
 @pytest.mark.parametrize(
     "p1,p2,expect",
     [
@@ -42,40 +57,47 @@ from repro.workloads import asts
         (Pred("c", "in", frozenset([1])), Pred("c", "=", 1), True),
         (Pred("c", "in", frozenset([1, 2])), Pred("c", "in", frozenset([1, 2, 3])), True),
         (Pred("c", "=", 1), Pred("a", "<", 5), False),
-        (Pred("c", "=", 1), Pred("c", "<", 5), False),  # eq vs range: opaque
+        (AdvPred("x", "a", "<", "b"), Pred("a", "<", 5), False),
         (AdvPred("x", "a", "<", "b"), AdvPred("x", "a", "<", "b"), True),
         (AdvPred("x", "a", "<", "b"), AdvPred("y", "a", "<", "c"), False),
-        (AdvPred("x", "a", "<", "b"), Pred("a", "<", 5), False),
     ],
 )
-def test_pred_implies(p1, p2, expect):
-    assert pred_implies(p1, p2) is expect
+def test_pred_implies(sch_abc, p1, p2, expect):
+    assert _implies(sch_abc, p1, p2) is expect
+    # the cut × cut matrix: p1 implies p2
+    assert subsumption(sch_abc, [p1, p2], [])[1][1, 0] == expect
 
 
-def test_query_implies_and_or():
+def test_query_implies_and_or(sch_abc):
     f = Pred("a", "<", 10)
     q_and = And([Pred("a", "<", 5), Pred("b", ">", 2)])
     q_or_good = Or([Pred("a", "<", 5), Pred("a", "<", 8)])
     q_or_bad = Or([Pred("a", "<", 5), Pred("b", ">", 2)])
-    assert query_implies(q_and, f)
-    assert query_implies(q_or_good, f)
-    assert not query_implies(q_or_bad, f)
+    assert _implies(sch_abc, q_and, f)
+    assert _implies(sch_abc, q_or_good, f)
+    assert not _implies(sch_abc, q_or_bad, f)
 
 
-def test_query_implies_nested():
+def test_query_implies_nested(sch_abc):
     f = Pred("a", "<", 10)
     q = Or([And([Pred("a", "<", 3), Pred("c", "=", 1)]), Pred("a", "<=", 9)])
-    assert query_implies(q, f)
+    assert _implies(sch_abc, q, f)
 
 
 # ----------------------------------------------------- feature selection
+def _select(cuts, W, sel, cfg) -> list[int]:
+    """``select_features`` over a numeric schema of the cuts' columns."""
+    sch = infer_schema(pd.DataFrame({p.attr: [0.0, 100.0] for p in cuts}))
+    return select_features(*subsumption(sch, cuts, W), sel, cfg)
+
+
 def test_select_features_caps_count():
     # independent features on distinct columns: nothing is discounted away
     cuts = [Pred(f"col{i}", "<", 1.0) for i in range(40)]
     W = list(cuts)
     sel = np.full(len(cuts), 0.05)
     cfg = BottomUpConfig(max_features=5)
-    chosen = select_features(cuts, W, sel, cfg)
+    chosen = _select(cuts, W, sel, cfg)
     assert len(chosen) == 5
 
 
@@ -85,7 +107,7 @@ def test_select_features_nested_chain_collapses():
     cuts = [Pred("a", "<", float(i)) for i in range(1, 40)]
     W = list(cuts)
     sel = np.linspace(0.01, 0.4, len(cuts))
-    chosen = select_features(cuts, W, sel, BottomUpConfig(max_features=5))
+    chosen = _select(cuts, W, sel, BottomUpConfig(max_features=5))
     assert chosen == [38]  # a<39, the most general
 
 
@@ -93,7 +115,7 @@ def test_select_features_selectivity_cap():
     cuts = [Pred("a", "<", 1.0), Pred("a", "<", 99.0)]
     W = list(cuts)
     sel = np.array([0.01, 0.99])
-    chosen = select_features(cuts, W, sel, BottomUpConfig(selectivity_cap=0.10))
+    chosen = _select(cuts, W, sel, BottomUpConfig(selectivity_cap=0.10))
     assert chosen == [0]  # the 99% selective feature is dropped (BU+)
 
 
@@ -102,7 +124,7 @@ def test_select_features_prefers_frequent():
     f_cold = Pred("b", "<", 10.0)
     W = [f_hot, f_hot, f_hot, f_cold]
     sel = np.array([0.5, 0.5])
-    chosen = select_features([f_hot, f_cold], W, sel, BottomUpConfig(max_features=1))
+    chosen = _select([f_hot, f_cold], W, sel, BottomUpConfig(max_features=1))
     assert chosen == [0]
 
 
@@ -112,7 +134,7 @@ def test_select_features_discounts_overlap():
     W = [And([Pred("a", "<", 5.0), Pred("b", "<", 8.0)])] * 3
     sel = np.array([0.2, 0.1, 0.12])
     cfg = BottomUpConfig(max_features=3)
-    chosen = select_features([f1, f2, f3], W, sel, cfg)
+    chosen = _select([f1, f2, f3], W, sel, cfg)
     # after choosing one of f2/f3, the other's frequency is discounted to 0
     assert len(chosen) < 3
 
@@ -142,7 +164,7 @@ def small():
 def test_partition_blocks_at_least_b(small):
     enc, sch, W = small
     cuts = extract_cuts(W)
-    res = bottom_up_partition(enc, cuts, W, b=200)
+    res = bottom_up_partition(enc, sch, cuts, W, b=200)
     sizes = np.bincount(res.bids)
     assert (sizes >= 200).all() or len(sizes) == 1
     assert sizes.sum() == len(enc)
@@ -151,7 +173,7 @@ def test_partition_blocks_at_least_b(small):
 def test_partition_improves_over_single_block(small):
     enc, sch, W = small
     cuts = extract_cuts(W)
-    res = bottom_up_partition(enc, cuts, W, b=200)
+    res = bottom_up_partition(enc, sch, cuts, W, b=200)
     m = evaluate_layout(enc, res.bids, sch, W)
     single = evaluate_layout(enc, np.zeros(len(enc), dtype=np.int64), sch, W)
     assert m.access_fraction < single.access_fraction
@@ -159,14 +181,14 @@ def test_partition_improves_over_single_block(small):
 
 def test_no_features_single_block(small):
     enc, sch, W = small
-    res = bottom_up_partition(enc, [], W, b=100)
+    res = bottom_up_partition(enc, sch, [], W, b=100)
     assert res.n_blocks == 1
     assert (res.bids == 0).all()
 
 
 def test_bids_contiguous(small):
     enc, sch, W = small
-    res = bottom_up_partition(enc, extract_cuts(W), W, b=150)
+    res = bottom_up_partition(enc, sch, extract_cuts(W), W, b=150)
     u = np.unique(res.bids)
     assert (u == np.arange(len(u))).all()
     assert res.n_blocks == len(u)
@@ -175,7 +197,7 @@ def test_bids_contiguous(small):
 def test_max_unique_cap(small):
     enc, sch, W = small
     cfg = BottomUpConfig(max_unique=3)
-    res = bottom_up_partition(enc, extract_cuts(W), W, b=150, cfg=cfg)
+    res = bottom_up_partition(enc, sch, extract_cuts(W), W, b=150, cfg=cfg)
     sizes = np.bincount(res.bids)
     assert sizes.sum() == len(enc)
     assert (sizes >= 150).all() or len(sizes) == 1
@@ -183,8 +205,8 @@ def test_max_unique_cap(small):
 
 def test_deterministic(small):
     enc, sch, W = small
-    r1 = bottom_up_partition(enc, extract_cuts(W), W, b=200)
-    r2 = bottom_up_partition(enc, extract_cuts(W), W, b=200)
+    r1 = bottom_up_partition(enc, sch, extract_cuts(W), W, b=200)
+    r2 = bottom_up_partition(enc, sch, extract_cuts(W), W, b=200)
     assert (r1.bids == r2.bids).all()
 
 
@@ -195,7 +217,7 @@ def test_tpch_bottom_up_between_random_and_greedy(tpch_bundle, tpch_tree):
     enc, sch = tpch_bundle.encoded, tpch_bundle.schema
     W = asts(tpch_bundle.queries)
     cuts = extract_cuts(W)
-    bu = bottom_up_partition(enc, cuts, W, b=150)
+    bu = bottom_up_partition(enc, sch, cuts, W, b=150)
     m_bu = evaluate_layout(enc, bu.bids, sch, W, acs=tpch_bundle.acs)
     m_rand = evaluate_layout(enc, random_partition(len(enc), 150, 0), sch, W, acs=tpch_bundle.acs)
     m_tree = evaluate_layout(enc, tpch_tree.route(enc), sch, W, acs=tpch_bundle.acs)

@@ -3,8 +3,6 @@ import os
 import sys
 import zipfile
 
-import pytest
-
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import _repro_build as backend  # noqa: E402
 

@@ -1,7 +1,6 @@
 """Candidate-cut extraction (Sec 3.4)."""
 from repro.core.cuts import extract_cuts
 from repro.core.predicates import AdvPred, And, Or, Pred
-from repro.workloads import asts
 
 
 def test_extracts_all_unary_preds():

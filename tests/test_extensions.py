@@ -11,12 +11,7 @@ from repro.core.cost import evaluate_layout, per_query_accessed
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks, Space
-from repro.core.overlap import (
-    OverlapLayout,
-    are_neighbors,
-    build_overlap_layout,
-    covers,
-)
+from repro.core.overlap import are_neighbors, build_overlap_layout
 from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.schema import infer_schema
 from repro.core.twotree import two_tree_layout
@@ -215,25 +210,40 @@ def test_not_neighbors_double_closed_overlap(sch2d):
 
 
 # -------------------------------------------------------------- coverage
+def covers(blk, q, base):
+    """Overlap's redundancy test: does every row of ``base`` matching ``q``
+    lie inside each row of ``blk``?"""
+    return blk.contains([q], base)[:, 0]
+
+
 def test_covers_conjunction(sch2d):
     blk = _desc2d(Interval(0, 60), Interval(0, 100), sch2d)
-    assert covers(blk, And([Pred("x", "<=", 50.0)]), sch2d)
-    assert not covers(blk, And([Pred("x", "<=", 70.0)]), sch2d)
-    assert covers(blk, And([Pred("x", "<=", 50.0), Pred("y", ">=", 10.0)]), sch2d)
+    assert covers(blk, And([Pred("x", "<=", 50.0)]), Blocks.root(sch2d))
+    assert not covers(blk, And([Pred("x", "<=", 70.0)]), Blocks.root(sch2d))
+    assert covers(blk, And([Pred("x", "<=", 50.0), Pred("y", ">=", 10.0)]), Blocks.root(sch2d))
 
 
 def test_covers_requires_unconstrained_dims_full(sch2d):
     blk = _desc2d(Interval(0, 100), Interval(0, 40), sch2d)
     # query constrains only x; block clips y -> does not cover
-    assert not covers(blk, Pred("x", "<=", 50.0), sch2d)
+    assert not covers(blk, Pred("x", "<=", 50.0), Blocks.root(sch2d))
 
 
 def test_covers_or_needs_all_disjuncts(sch2d):
     blk = _desc2d(Interval(0, 60), Interval(0, 100), sch2d)
     q = Or([Pred("x", "<=", 50.0), Pred("x", ">=", 90.0)])
-    assert not covers(blk, q, sch2d)
+    assert not covers(blk, q, Blocks.root(sch2d))
     full = _desc2d(Interval(0, 100), Interval(0, 100), sch2d)
-    assert covers(full, q, sch2d)
+    assert covers(full, q, Blocks.root(sch2d))
+
+
+def test_covers_conjunction_of_disjunction(sch2d):
+    """Each conjunction of the query's disjunctive normal form is tested
+    on its own, so an AND over an OR covers when every branch lies inside."""
+    blk = _desc2d(Interval(0, 60), Interval(0, 100), sch2d)
+    x_out = Or([Pred("x", "<=", 10.0), Pred("x", ">=", 40.0)])
+    assert covers(blk, And([x_out, Pred("x", "<=", 50.0)]), Blocks.root(sch2d))
+    assert not covers(blk, And([x_out, Pred("y", ">=", 0.0)]), Blocks.root(sch2d))
 
 
 @pytest.fixture(scope="module")
@@ -244,32 +254,33 @@ def sch_cat():
 
 def test_covers_ac_bits(sch_cat):
     ac = AdvPred("z", "x", "<", "x")
-    root = Blocks.root(sch_cat, ("z",))
+    base = root = Blocks.root(sch_cat, ("z",))
     only_true = root.split(ac)[:1]  # AC bits (True, False)
-    assert covers(root, ac, sch_cat)
-    assert covers(only_true, ac, sch_cat)
-    assert not covers(only_true, ac.negate(), sch_cat)
+    assert covers(root, ac, base)
+    assert covers(only_true, ac, base)
+    assert not covers(only_true, ac.negate(), base)
     # a query that leaves the AC unconstrained needs both sides in the block
-    assert not covers(only_true, Pred("x", "<=", 50.0), sch_cat)
-    assert covers(root, Pred("x", "<=", 50.0), sch_cat)
+    assert not covers(only_true, Pred("x", "<=", 50.0), base)
+    assert covers(root, Pred("x", "<=", 50.0), base)
 
 
 def test_covers_categorical_in(sch_cat):
-    blk = Blocks.root(sch_cat).split(Pred("c", "in", frozenset([0, 1])))[:1]
-    assert covers(blk, Pred("c", "in", frozenset([0, 1])), sch_cat)
-    assert covers(blk, Pred("c", "=", 1), sch_cat)
-    assert not covers(blk, Pred("c", "in", frozenset([1, 2])), sch_cat)
-    assert not covers(blk, Pred("x", "<=", 50.0), sch_cat)  # c unconstrained
+    base = Blocks.root(sch_cat)
+    blk = base.split(Pred("c", "in", frozenset([0, 1])))[:1]
+    assert covers(blk, Pred("c", "in", frozenset([0, 1])), base)
+    assert covers(blk, Pred("c", "=", 1), base)
+    assert not covers(blk, Pred("c", "in", frozenset([1, 2])), base)
+    assert not covers(blk, Pred("x", "<=", 50.0), base)  # c unconstrained
     # conjuncts on one column intersect: {0,1,2} ∩ {1,3} = {1}
     q = And([Pred("c", "in", frozenset([0, 1, 2])), Pred("c", "in", frozenset([1, 3]))])
-    assert covers(blk, q, sch_cat)
+    assert covers(blk, q, base)
 
 
 def test_covers_contradictory_range_conjunction(sch2d):
     """A query that selects nothing is covered by any block."""
     blk = _desc2d(Interval(0, 60), Interval(0, 40), sch2d)
     q = And([Pred("x", "<", 10.0), Pred("x", ">", 20.0)])
-    assert covers(blk, q, sch2d)
+    assert covers(blk, q, Blocks.root(sch2d))
 
 
 # --------------------------------------------------------------- two-tree

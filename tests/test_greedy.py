@@ -4,7 +4,6 @@ import pandas as pd
 import pytest
 
 from repro.core.cost import evaluate_layout
-from repro.core.cuts import extract_cuts
 from repro.core.greedy import CutMatrix, greedy_qdtree
 from repro.core.predicates import Or, Pred
 from repro.core.schema import infer_schema

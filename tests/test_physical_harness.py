@@ -1,5 +1,4 @@
 """run_physical harness at tiny scale: modes agree, metrics populated."""
-import numpy as np
 import pytest
 
 from repro.baselines.simple import random_partition

@@ -5,13 +5,11 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cost import evaluate_layout
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks
 from repro.core.predicates import AdvPred, And, Pred, eval_mask
 from repro.core.qdtree import QdTree, TreeNode, block_stats
 from repro.core.schema import infer_schema
-from repro.workloads import asts
 
 from .reference import Interval, block_description, descriptions
 

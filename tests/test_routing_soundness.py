@@ -5,7 +5,7 @@ descriptions and by block stats) and for the overlap layout built on the
 relaxed tree."""
 import numpy as np
 import pandas as pd
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cuts import extract_cuts
@@ -48,6 +48,11 @@ def _pruned(routed, bids, q, enc) -> set:
 @given(rows=FRAMES, W=st.lists(QUERIES, min_size=1, max_size=6),
        b=st.integers(2, 10))
 @settings(max_examples=50, deadline=None)
+# A large leaf that absorbs one small neighbour along x and another along y
+# must not claim the corner between them: its region would cover x < 1
+# while the 34 rows at (0, 0) sit in another block.
+@example(rows=[(0.0, 0.0, 0)] * 34 + [(0.0, 1.0, 0), (1.0, 0.0, 0)] + [(1.0, 1.0, 0)] * 2,
+         W=[Pred("x", "<", 1.0), And([Pred("y", "<", 1.0)])], b=2)
 def test_routing_never_prunes_a_matching_block(rows, W, b):
     x, y, c = zip(*rows)
     pdf = pd.DataFrame({"x": x, "y": y, "c": [CATS[i] for i in c]})

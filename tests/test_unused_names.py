@@ -1,5 +1,6 @@
 """Every top-level function and class in ``src/repro``, and every public
-method, is used by the package, a job or the benchmark."""
+method, is used by the package, a job or the benchmark; and every name a
+test module imports is used in that module."""
 import ast
 from pathlib import Path
 
@@ -50,4 +51,19 @@ def test_no_unused_names():
         and all(p == path and node.lineno <= line <= node.end_lineno
                 for p, line in refs.get(name, []))
     ]
+    assert not unused
+
+
+def test_no_unused_test_imports():
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno} {a.asname or a.name}"
+                           for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in used]
     assert not unused
