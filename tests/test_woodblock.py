@@ -1,4 +1,7 @@
 """WOODBLOCK: legality of produced trees, featurisation, learning signal."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -162,6 +165,36 @@ def test_history_pinned(tpch_bundle):
         config=WoodblockConfig(episodes=4, seed=0),
     )
     assert res.history == _PINNED_HISTORY
+
+
+# The same run with every episode capped at 20 leaves, which the cap binds
+# at: its history, the deployed tree's leaf count and the SHA-1 of every
+# query's BID list (JSON, workload order).
+_PINNED_CAPPED = (
+    [
+        (0, 0.7944555555555556, 0.7944555555555556),
+        (1, 0.6915666666666667, 0.6915666666666667),
+        (2, 0.7775666666666666, 0.6915666666666667),
+        (3, 0.7379, 0.6915666666666667),
+        (4, 0.6925666666666667, 0.6915666666666667),
+    ],
+    20,
+    "113508058f40d12e8982456c6d3e458ec560f8c4",
+)
+
+
+def test_capped_run_pinned(tpch_bundle):
+    enc, sch = tpch_bundle.encoded, tpch_bundle.schema
+    W = asts(tpch_bundle.queries)
+    sample = enc.sample(n=3000, random_state=0).reset_index(drop=True)
+    res = woodblock_qdtree(
+        sample, sch, extract_cuts(W), W, b_sample=60, ac_names=tpch_bundle.ac_names,
+        config=WoodblockConfig(episodes=4, seed=0, max_leaves=20),
+    )
+    routes = [res.tree.query_bids(q) for q in W]
+    got = (res.history, res.tree.n_leaves,
+           hashlib.sha1(json.dumps(routes).encode()).hexdigest())
+    assert got == _PINNED_CAPPED
 
 
 def test_leaf_n_rows_match_leaf_sizes(fig3):
