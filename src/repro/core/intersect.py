@@ -7,10 +7,11 @@ bound ``x < v`` is stored as ``hi = nextafter(v, -inf)``), the categorical
 masks side by side (bit 0: that value is absent), and the may-true /
 may-false bits of every advanced cut (AC), in the one column layout
 :meth:`Space.of` gives a schema. It is the only description type: a tree
-node holds one row, :meth:`Blocks.split` restricts it by both sides of a
-cut, each side itself a row of the bounds and bits it keeps, and block
-stats and overlap regions are rows too. The tests hold these arrays to a
-per-description walk of a query's AND/OR tree, their reference.
+node holds one row, which :meth:`Blocks.restrict` intersects with both
+sides of a cut to give the children, each side itself a row of the bounds
+and bits it keeps, and block stats and overlap regions are rows too. The
+tests hold these arrays to a per-description walk of a query's AND/OR
+tree, their reference.
 Greedy's gain, WOODBLOCK's active queries, Table-2 scoring and query
 routing all ask whether a block may hold a row matching a query; this
 module answers it for every pair at once:
@@ -36,13 +37,15 @@ interval that admits either conjunct alone. The test is sound: it may
 keep a block with no matching row, never prune one that holds one.
 
 The compiled workload also carries both sides of every candidate cut
-(:func:`_cut_effects`, as bounds and kept bits), so Greedy gets the
-active-query counts of both children of every legal cut in one batch
-(:meth:`Workload.split_counts`): the children become the rows of one
-:class:`Blocks`, tested against the node's active boxes only. A
-restriction never makes an atom true, so a box that fails at a node fails
-in both its children; and as a cut on column ``j`` changes only the atoms
-on ``j``, an active box holds in a child iff the child's atoms on ``j`` do.
+(:func:`_cut_effects`, as bounds and kept bits, ``Workload.sides``), so
+tree construction restricts a whole level's children in one batch, and
+Greedy gets the active-query counts of both children of every legal cut
+of a level in one call (:meth:`Workload.split_counts`): the children
+become the rows of one :class:`Blocks`, tested only against the boxes the
+level's parents intersect. A restriction never makes an atom true, so a
+box that fails at a node fails in both its children; and as a cut on
+column ``j`` changes only the atoms on ``j``, an active box holds in a
+child iff the child's atoms on ``j`` do.
 """
 from __future__ import annotations
 
@@ -135,11 +138,6 @@ class Blocks:
             self.may_false & sides.may_false,
         )
 
-    def split(self, cut) -> "Blocks":
-        """Both children of a one-row description under ``cut``: row 0 is
-        the side where the cut holds, row 1 the other."""
-        return self.restrict(_cut_effects([cut], self.space))
-
     def intersects(self, queries: Sequence) -> np.ndarray:
         """(blocks, queries) bool: may block b hold a row matching query q?"""
         return compile_workload(queries, self.space).intersects(self)
@@ -230,9 +228,10 @@ class Workload:
         held = ((b.lo[:, None] <= reg.lo) & (reg.hi <= b.hi[:, None])).all(axis=2) & subset.T
         return (~(held | empty)).astype(np.float32) @ self.box_query == 0
 
-    def n_active(self, boxes: np.ndarray) -> int:
-        """Number of queries with a box among ``boxes`` (ascending)."""
-        return len(self._query_starts(boxes))
+    def n_active(self, held: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+        """Per row of ``held`` (rows × ``boxes``, ascending), the number of
+        queries with a held box."""
+        return np.logical_or.reduceat(held, self._query_starts(boxes), axis=1).sum(axis=1)
 
     def _query_starts(self, boxes: np.ndarray) -> np.ndarray:
         """Positions in ``boxes`` (ascending) where a query's boxes begin."""
@@ -243,16 +242,17 @@ class Workload:
         self, desc: Blocks, boxes: np.ndarray, cis: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(|A_L|, |A_R|) per cut in ``cis``: active queries of both children
-        of a node with the one-row description ``desc`` and active boxes
-        ``boxes``."""
-        kids = desc.restrict(self.sides[np.concatenate([cis, cis + len(self.sides) // 2])])
-        held = self.box_truth(kids, boxes)
-        n = np.logical_or.reduceat(held, self._query_starts(boxes), axis=1).sum(axis=1)
-        return n[: len(cis)], n[len(cis):]
-
-    def active_boxes(self, desc: Blocks) -> np.ndarray:
-        """Boxes the one-row description ``desc`` intersects."""
-        return np.flatnonzero(self.box_truth(desc)[0])
+        of cut ``cis[i]`` on the node described by row ``i`` of ``desc``,
+        among ``boxes`` (ascending, and holding every box the node
+        intersects)."""
+        n = len(self.sides) // 2
+        out = np.zeros((2, len(cis)), dtype=np.int64)
+        for s in range(0, len(cis), 1024):  # bounds the (children, atoms) arrays
+            rows = desc[s:s + 1024]
+            for side in (0, 1):
+                kids = rows.restrict(self.sides[cis[s:s + 1024] + side * n])
+                out[side, s:s + len(rows)] = self.n_active(self.box_truth(kids, boxes), boxes)
+        return out[0], out[1]
 
 
 def _cut_effects(cuts: Sequence, space: Space) -> Blocks:

@@ -33,7 +33,6 @@ import pandas as pd
 from .intersect import Blocks
 from .predicates import Node
 from .qdtree import Layout, QdTree, block_stats
-from .schema import TableSchema
 
 
 # -------------------------------------------------------------- neighbors
@@ -65,13 +64,12 @@ class OverlapLayout:
     extra_rows: int  # replicated tuples (storage overhead)
     root: Blocks  # the whole table's row: the base of every coverage test
 
-    def query_blocks(self, q: Node, schema: TableSchema | None = None) -> list[int]:
+    def query_blocks(self, q: Node) -> list[int]:
         """Intersecting blocks (by min-max stats), with completeness-based
         redundancy pruning: if some candidate's complete region covers the
         whole query region, that candidate alone suffices — scan the
         smallest such block (Sec 6.2.1). Covering is the kernel's sound
-        containment test over the root row the layout keeps, so ``schema``
-        is not read."""
+        containment test over the root row the layout keeps."""
         cands = self.stats.query_bids(q)
         if len(cands) < 2:  # nothing to prune
             return cands
@@ -81,7 +79,7 @@ class OverlapLayout:
             return [min(covering, key=lambda b: self.stats.sizes[b])]
         return cands
 
-    def tuples_accessed(self, workload: Sequence[Node], schema: TableSchema | None = None) -> int:
+    def tuples_accessed(self, workload: Sequence[Node]) -> int:
         return sum(int(self.stats.sizes[self.query_blocks(q)].sum()) for q in workload)
 
 

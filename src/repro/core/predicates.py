@@ -14,7 +14,9 @@ Every node supports vectorised evaluation over an encoded pandas frame
 (:func:`eval_mask`) and compilation to SQL text in *raw* literal space
 (:func:`to_sql`): the one compiler for Spark's routed reads, the tree's
 ``CASE`` routing expression and the DuckDB oracle. ``eval_mask`` is the
-independent reference the tests check both engines against.
+independent reference the tests check both engines against. A NULL (NaN)
+value satisfies no leaf, a negated AC included, as in SQL, where
+``NOT(x < y)`` is NULL when ``x`` is.
 """
 from __future__ import annotations
 
@@ -107,6 +109,13 @@ _NUMPY_OPS = {
 
 
 # --------------------------------------------------------------- evaluation
+def adv_mask(node: AdvPred, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x op y``, or its negation, row by row, as SQL reads it: a NULL
+    (NaN) operand makes both NULL, which selects no row."""
+    m = _NUMPY_OPS[node.op](x, y)
+    return ~(m | pd.isna(x) | pd.isna(y)) if node.negated else m
+
+
 def eval_mask(node: Node, pdf: pd.DataFrame) -> np.ndarray:
     """Boolean satisfaction mask of ``node`` over an *encoded* frame."""
     if isinstance(node, Pred):
@@ -115,8 +124,7 @@ def eval_mask(node: Node, pdf: pd.DataFrame) -> np.ndarray:
             return np.isin(col, list(node.value))
         return _NUMPY_OPS[node.op](col, node.value)
     if isinstance(node, AdvPred):
-        m = _NUMPY_OPS[node.op](pdf[node.attr1].to_numpy(), pdf[node.attr2].to_numpy())
-        return ~m if node.negated else m
+        return adv_mask(node, pdf[node.attr1].to_numpy(), pdf[node.attr2].to_numpy())
     if isinstance(node, And):
         out = np.ones(len(pdf), dtype=bool)
         for c in node.children:

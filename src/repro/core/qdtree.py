@@ -19,11 +19,11 @@ Data routing is exposed three ways:
   Problem 2 (new tuples route without reshuffling).
 
 Each node holds its semantic description as one row of a
-:class:`~.intersect.Blocks`; :meth:`TreeNode.split` restricts it by the
-two sides of the cut. Query routing (:meth:`QdTree.query_bids`) tests the
-query against the leaf rows, stacked once per tree in BID order, and
-returns the intersecting BIDs, which callers inject as ``bid IN (...)``
-(Sec 3.3). The :class:`Layout` that :func:`block_stats`
+:class:`~.intersect.Blocks`; :meth:`TreeNode.split` takes the children's
+rows, which tree construction restricts a level at a time. Query routing
+(:meth:`QdTree.query_bids`) tests the query against the leaf rows, stacked
+once per tree in BID order, and returns the intersecting BIDs, which
+callers inject as ``bid IN (...)`` (Sec 3.3). The :class:`Layout` that :func:`block_stats`
 builds routes by the min-max stats of each block's rows instead (Sec 3.2).
 """
 from __future__ import annotations
@@ -37,7 +37,7 @@ import pandas as pd
 from .intersect import Blocks, Space
 from .predicates import AdvPred, Pred
 from .predicates import Node as QueryNode
-from .predicates import _NUMPY_OPS, eval_mask, to_sql
+from .predicates import _NUMPY_OPS, adv_mask, eval_mask, to_sql
 from .schema import TableSchema
 
 
@@ -49,8 +49,7 @@ def _eval_cut_idx(cut, cols: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarr
             return np.isin(col, list(cut.value))
         return _NUMPY_OPS[cut.op](col, cut.value)
     if isinstance(cut, AdvPred):
-        m = _NUMPY_OPS[cut.op](cols[cut.attr1][idx], cols[cut.attr2][idx])
-        return ~m if cut.negated else m
+        return adv_mask(cut, cols[cut.attr1][idx], cols[cut.attr2][idx])
     raise TypeError(f"cuts must be Pred or AdvPred, got {cut!r}")
 
 
@@ -69,11 +68,12 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.cut is None
 
-    def split(self, cut) -> tuple["TreeNode", "TreeNode"]:
-        """Cut this leaf; returns the (left, right) children."""
+    def split(self, cut, kids: Blocks) -> tuple["TreeNode", "TreeNode"]:
+        """Cut this leaf; ``kids`` describes its children, row 0 the left
+        one (where ``cut`` holds) and row 1 the right. Returns the (left,
+        right) children."""
         assert self.is_leaf, "cannot split an internal node"
         self.cut = cut
-        kids = self.desc.split(cut)
         self.left, self.right = TreeNode(kids[:1]), TreeNode(kids[1:])
         return self.left, self.right
 

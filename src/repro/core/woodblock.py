@@ -8,17 +8,20 @@ Tree-structured MDP exactly as the paper defines it:
   :class:`~.intersect.Blocks` row with array operations, in schema order;
 * **action** — one of the candidate cuts; a cut is *legal* on a node iff
   both resulting children hold ≥ ``b_sample`` records of the construction
-  sample (Sec 5.2.1, :meth:`~repro.core.greedy.CutMatrix.legal`) — when no
+  sample (Sec 5.2.1, :func:`~repro.core.greedy.legal_cuts`) — when no
   cut is legal the node becomes a leaf;
 * **reward** — for every internal node ``n`` with chosen cut ``p``,
   ``R((n,p)) = S(n) / (|W|·|n.records|)`` where ``S(n)`` recursively sums
   the skipped-record counts of the leaves below ``n`` (Sec 5.2.2).
 
 Each episode builds a whole tree with :func:`repro.core.greedy.grow`, the
-construction loop Greedy also uses; WOODBLOCK only supplies the chooser,
-which samples the policy over the legal cuts and records the transition.
-The cut matrix and the compiled workload (:mod:`.intersect`) are built
-once per call and shared by every episode.
+construction loop Greedy also uses; WOODBLOCK only supplies the chooser.
+``grow`` hands it one breadth-first level at a time; the chooser
+featurises the level's splittable nodes, runs one policy forward over
+them, samples one cut per node in breadth-first order (the order a
+node-at-a-time loop would draw in, so a seed gives the same trees) and
+records the transitions. The cut matrix and the compiled workload
+(:mod:`.intersect`) are built once per call and shared by every episode.
 PPO updates the shared policy/value net after every ``BATCH_EPISODES``
 episodes and after the last one; the best tree seen —
 measured by the sample's description-based access fraction — is deployed
@@ -34,10 +37,10 @@ import pandas as pd
 
 from ..rl.mlp import PolicyValueNet
 from ..rl.ppo import Batch, PPOTrainer
-from .greedy import CutMatrix, grow
+from .greedy import CutMatrix, Level, grow
 from .intersect import Blocks, Space, Workload, compile_workload
 from .predicates import Node as QueryNode
-from .qdtree import QdTree, TreeNode
+from .qdtree import QdTree
 from .schema import TableSchema
 
 
@@ -119,24 +122,28 @@ def _episode(
     ``deterministic``); returns (root, transitions, rewards, access_fraction)."""
     transitions = []  # (obs, action, legal, logp, value, node)
 
-    def choose(node: TreeNode, idx: np.ndarray, boxes: np.ndarray, n_open: int):
-        if n_open >= max_leaves:
-            return None
-        legal, _ = cm.legal(idx, b_sample)
-        if not legal.any():
-            return None
-        obs = feat(node.desc)[0]
+    def choose(lv: Level) -> np.ndarray:
+        """Sample (or take the argmax of) the policy on the level's nodes in
+        one forward. Each split adds one open leaf, so ``max_leaves`` admits
+        the first ``max_leaves − n_open`` nodes; the rest become leaves."""
+        out = np.full(len(lv.nodes), -1)
+        k = max(0, min(len(lv.nodes), max_leaves - lv.n_open))
+        if not k:
+            return out
+        obs, legal = feat(lv.desc[:k]), lv.legal[:k]
         if deterministic:
-            logits, values, _ = trainer.net.forward(obs[None, :])
-            masked = np.where(legal[None, :], logits, -np.inf)
-            ci, logp, value = int(masked[0].argmax()), np.zeros(1), values
+            logits, values, _ = trainer.net.forward(obs)
+            ci, logp = np.where(legal, logits, -np.inf).argmax(axis=1), np.zeros(k)
         else:
-            a, logp, value = trainer.action_logp(obs[None, :], legal[None, :])
-            ci = int(a[0])
-        transitions.append((obs, ci, legal, float(logp[0]), float(value[0]), node))
-        return ci
+            ci, logp, values = trainer.action_logp(obs, legal)
+        transitions.extend(
+            (obs[j], int(ci[j]), legal[j], float(logp[j]), float(values[j]), lv.nodes[j])
+            for j in range(k)
+        )
+        out[:k] = ci
+        return out
 
-    root, leaves = grow(cm, root_desc, wl, choose)
+    root, leaves = grow(cm, root_desc, wl, b_sample, False, choose)
     w = wl.n_queries
     accessed = sum(node.n_rows * nact for node, nact in leaves)
     fraction = accessed / (root.n_rows * w) if w else 0.0

@@ -21,7 +21,9 @@ tree: it may return ``True`` for a block with no matching rows, never
 range atom one interval, a categorical atom one mask, an AC atom one bit.
 :func:`block_description` is the per-block reference of
 :func:`repro.core.qdtree.block_stats`; :func:`blocks_of` and
-:func:`descriptions` convert between the two forms.
+:func:`descriptions` convert between the two forms. :func:`split_row` and
+:func:`split_node` cut one description, or one leaf of a tree built by
+hand, through the cut sides the kernel compiles.
 """
 from __future__ import annotations
 
@@ -32,8 +34,9 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
-from repro.core.intersect import Blocks, Space
+from repro.core.intersect import Blocks, Space, compile_workload
 from repro.core.predicates import AdvPred, And, Node, Or, Pred, eval_mask
+from repro.core.qdtree import TreeNode
 from repro.core.schema import CATEGORICAL, TableSchema
 
 
@@ -226,3 +229,14 @@ def descriptions(blocks: Blocks) -> list[Description]:
         )
         for b in range(len(blocks))
     ]
+
+
+def split_row(row: Blocks, cut) -> Blocks:
+    """Both children of the one-row description ``row`` under ``cut``: row 0
+    where the cut holds, row 1 where it does not."""
+    return row.restrict(compile_workload([], row.space, [cut]).sides)
+
+
+def split_node(node: TreeNode, cut) -> tuple[TreeNode, TreeNode]:
+    """Cut the leaf ``node`` of a tree built by hand; returns (left, right)."""
+    return node.split(cut, split_row(node.desc, cut))

@@ -17,7 +17,7 @@ from repro.core.schema import infer_schema
 from repro.core.twotree import two_tree_layout
 from repro.workloads import asts
 
-from .reference import Description, Interval, blocks_of
+from .reference import Description, Interval, blocks_of, split_row
 
 
 # ------------------------------------------------------- Fig 4 scenario
@@ -93,7 +93,7 @@ def test_overlap_beats_naive_binary_layout(fig4_band):
 
     relaxed = greedy_qdtree(enc, sch, cuts, W, b=N, relaxed=True)
     layout = build_overlap_layout(relaxed, enc, b=N)
-    accessed = layout.tuples_accessed(W, sch)
+    accessed = layout.tuples_accessed(W)
 
     assert naive_m.tuples_accessed >= 3 * N + 2  # one query reads N extra
     assert accessed <= 2 * (N + 1) + 2  # ~optimal: each query ≈ N+1
@@ -119,7 +119,7 @@ def test_overlap_layout_loses_no_rows(request, fixture):
     layout = build_overlap_layout(relaxed, enc, b=N)
     for q in W:
         match = np.flatnonzero(eval_mask(q, enc))
-        selected = layout.query_blocks(q, sch)
+        selected = layout.query_blocks(q)
         rows = np.concatenate([layout.rows[b] for b in selected])
         assert set(match) <= set(rows.tolist())  # no false negatives
 
@@ -131,7 +131,7 @@ def test_overlap_never_worse_than_tree(fig4_quad):
     relaxed = greedy_qdtree(enc, sch, extract_cuts(W), W, b=N, relaxed=True)
     layout = build_overlap_layout(relaxed, enc, b=N)
     plain = evaluate_layout(enc, relaxed.route(enc), sch, W)
-    assert layout.tuples_accessed(W, sch) <= plain.tuples_accessed
+    assert layout.tuples_accessed(W) <= plain.tuples_accessed
 
 
 # (extra_rows, tuples_accessed, SHA-1 of the JSON list of every query's
@@ -155,8 +155,8 @@ def test_overlap_pinned(name, bundle, request):
     tree = greedy_qdtree(bd.encoded, bd.schema, extract_cuts(W), W, bd.b,
                          ac_names=bd.ac_names, relaxed=True)
     layout = build_overlap_layout(tree, bd.encoded, bd.b, acs=bd.acs)
-    routes = [layout.query_blocks(q, bd.schema) for q in W]
-    got = (layout.extra_rows, layout.tuples_accessed(W, bd.schema),
+    routes = [layout.query_blocks(q) for q in W]
+    got = (layout.extra_rows, layout.tuples_accessed(W),
            hashlib.sha1(json.dumps(routes).encode()).hexdigest())
     assert got == _PINNED_OVERLAP[name]
 
@@ -255,7 +255,7 @@ def sch_cat():
 def test_covers_ac_bits(sch_cat):
     ac = AdvPred("z", "x", "<", "x")
     base = root = Blocks.root(sch_cat, ("z",))
-    only_true = root.split(ac)[:1]  # AC bits (True, False)
+    only_true = split_row(root, ac)[:1]  # AC bits (True, False)
     assert covers(root, ac, base)
     assert covers(only_true, ac, base)
     assert not covers(only_true, ac.negate(), base)
@@ -266,7 +266,7 @@ def test_covers_ac_bits(sch_cat):
 
 def test_covers_categorical_in(sch_cat):
     base = Blocks.root(sch_cat)
-    blk = base.split(Pred("c", "in", frozenset([0, 1])))[:1]
+    blk = split_row(base, Pred("c", "in", frozenset([0, 1])))[:1]
     assert covers(blk, Pred("c", "in", frozenset([0, 1])), base)
     assert covers(blk, Pred("c", "=", 1), base)
     assert not covers(blk, Pred("c", "in", frozenset([1, 2])), base)

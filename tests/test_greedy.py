@@ -3,9 +3,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core import greedy, woodblock
 from repro.core.cost import evaluate_layout
-from repro.core.greedy import CutMatrix, greedy_qdtree
+from repro.core.cuts import extract_cuts
+from repro.core.greedy import CutMatrix, greedy_qdtree, legal_cuts
 from repro.core.predicates import Or, Pred
+from repro.core.woodblock import WoodblockConfig, woodblock_qdtree
 from repro.core.schema import infer_schema
 from repro.baselines.simple import random_partition
 from repro.workloads import asts
@@ -109,34 +112,67 @@ def test_all_leaf_descriptions_disjoint_routing(tpch_bundle, tpch_tree):
 
 
 def _x_below(n, *vs):
-    """Rows x = 0..n−1 and one cut ``x < v`` per ``v``."""
+    """Left-child counts on rows x = 0..n−1 of one cut ``x < v`` per ``v``."""
     enc = pd.DataFrame({"x": np.arange(n, dtype=float)})
-    return CutMatrix.build([Pred("x", "<", float(v)) for v in vs], enc), np.arange(n)
+    return CutMatrix.build([Pred("x", "<", float(v)) for v in vs], enc).left_counts(np.arange(n))
 
 
 @pytest.mark.parametrize("n, want", [(19, False), (20, True)])
 def test_legal_strict_boundary(n, want):
-    cm, idx = _x_below(n, n // 2)  # b=10: n=2b−1 cannot give both children b rows
-    legal, counts = cm.legal(idx, 10)
-    assert legal.tolist() == [want]
+    counts = _x_below(n, n // 2)  # b=10: n=2b−1 cannot give both children b rows
+    assert legal_cuts(counts, n, 10).tolist() == [want]
     if want:
         assert counts.tolist() == [10]
 
 
 @pytest.mark.parametrize("n, want", [(10, False), (11, True)])
 def test_legal_relaxed_boundary(n, want):
-    cm, idx = _x_below(n, 1)  # a singleton left child
-    assert cm.legal(idx, 10, relaxed=True)[0].tolist() == [want]
-    assert not cm.legal(idx, 10)[0].any()
+    counts = _x_below(n, 1)  # a singleton left child
+    assert legal_cuts(counts, n, 10, relaxed=True).tolist() == [want]
+    assert not legal_cuts(counts, n, 10).any()
 
 
 def test_legal_relaxed_rejects_empty_child():
-    cm, idx = _x_below(30, 100, 1)
-    legal, counts = cm.legal(idx, 10, relaxed=True)
+    counts = _x_below(30, 100, 1)
     assert counts.tolist() == [30, 1]
-    assert legal.tolist() == [False, True]
+    assert legal_cuts(counts, 30, 10, relaxed=True).tolist() == [False, True]
 
 
 def test_leaf_n_rows_match_leaf_sizes(tpch_bundle, tpch_tree):
     sizes = np.bincount(tpch_tree.route(tpch_bundle.encoded), minlength=tpch_tree.n_leaves)
     assert [lf.n_rows for lf in tpch_tree.leaves] == sizes.tolist()
+
+
+@pytest.mark.parametrize("build", ["greedy", "relaxed", "woodblock"])
+@pytest.mark.parametrize("bundle", ["tpch_bundle", "errlog_int_bundle", "errlog_ext_bundle"])
+def test_level_counts_match_direct_gather(bundle, build, request, monkeypatch):
+    """Every node ``grow`` hands a chooser carries the cut counts and the
+    legality that one gather of its own rows gives, although ``grow``
+    gathers only the smaller child of each split and subtracts."""
+    bd = request.getfixturevalue(bundle)
+    W = asts(bd.queries)
+    grow, seen = greedy.grow, []
+
+    def recording_grow(cm, root, wl, b, relaxed, choose):
+        def check(lv):
+            for node, rows, counts, legal in zip(lv.nodes, lv.idx, lv.counts, lv.legal):
+                direct = cm.left_counts(rows)
+                small = np.minimum(direct, len(rows) - direct)
+                large = np.maximum(direct, len(rows) - direct)
+                assert node.n_rows == len(rows)
+                assert np.array_equal(counts, direct)
+                assert np.array_equal(legal, (large >= b) & (small >= 1) if relaxed
+                                      else small >= b)
+            seen.append(len(lv.nodes))
+            return choose(lv)
+
+        return grow(cm, root, wl, b, relaxed, check)
+
+    monkeypatch.setattr(greedy, "grow", recording_grow)
+    monkeypatch.setattr(woodblock, "grow", recording_grow)
+    args = (bd.encoded, bd.schema, extract_cuts(W), W, bd.b)
+    if build == "woodblock":
+        woodblock_qdtree(*args, ac_names=bd.ac_names, config=WoodblockConfig(episodes=2, seed=0))
+    else:
+        greedy_qdtree(*args, ac_names=bd.ac_names, relaxed=build == "relaxed")
+    assert len(seen) > 3 and max(seen) > 1  # several levels, some of several nodes

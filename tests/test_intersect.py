@@ -21,7 +21,7 @@ from repro.core.schema import CATEGORICAL, NUMERIC, ColumnSpec, TableSchema
 from repro.core.woodblock import WoodblockConfig, woodblock_qdtree
 from repro.workloads import asts
 
-from .reference import Description, Interval, blocks_of, descriptions
+from .reference import Description, Interval, blocks_of, descriptions, split_row
 
 
 def _walk(descs, W) -> np.ndarray:
@@ -221,20 +221,20 @@ def test_split_counts_match_restrict_walk(tpch_bundle):
             desc = desc.restrict(cuts[ci], bool(rng.integers(2)))
         row = blocks_of([desc], space)
         active = [qi for qi, q in enumerate(W) if desc.may_intersect(q)]
-        boxes = wl.active_boxes(row)
-        assert wl.n_active(boxes) == len(active)
-        a_l, a_r = wl.split_counts(row, boxes, cis)
+        boxes = np.flatnonzero(wl.box_truth(row)[0])
+        assert wl.n_active(wl.box_truth(row, boxes), boxes)[0] == len(active)
+        a_l, a_r = wl.split_counts(row[np.zeros(len(cis), dtype=np.int64)], boxes, cis)
         for ci, cut in enumerate(cuts):
             ld, rd = desc.restrict(cut, True), desc.restrict(cut, False)
             ref_l, ref_r = split_active(ld, rd, active, W)
             assert (a_l[ci], a_r[ci]) == (len(ref_l), len(ref_r)), cut
             if ci % 10 == 0:
-                kids = row.split(cut)
+                kids = split_row(row, cut)
                 for got, want in zip(descriptions(kids), (ld, rd)):
                     assert got.ranges == want.ranges and got.acs == want.acs, cut
                 assert np.array_equal(kids.masks, blocks_of([ld, rd], space).masks)
                 # grow tests the children against the node's active boxes only
                 held = wl.box_truth(kids, boxes)
                 for b_kid, d in zip(held, (ld, rd)):
-                    assert np.array_equal(boxes[b_kid],
-                                          wl.active_boxes(blocks_of([d], space)))
+                    assert np.array_equal(
+                        boxes[b_kid], np.flatnonzero(wl.box_truth(blocks_of([d], space))[0]))

@@ -144,6 +144,22 @@ def test_adv_sql(frame):
     assert n_pos + n_neg == len(pdf)
 
 
+def test_null_matches_neither_ac_side():
+    """A NULL (NaN) operand satisfies neither ``a < b`` nor ``NOT(a < b)``:
+    numpy selects the rows DuckDB selects by the ``to_sql`` text."""
+    pdf = pd.DataFrame({"a": [1.0, np.nan, 5.0, 2.0], "b": [2.0, 3.0, np.nan, 1.0]})
+    sch = infer_schema(pdf)
+    enc = sch.encode(pdf)
+    ac = AdvPred("ab", "a", "<", "b")
+    con = duckdb.connect()
+    con.register("t", pdf.assign(_row=np.arange(len(pdf))))
+    for q, want in ((ac, [0]), (ac.negate(), [3]),
+                    (Or([ac.negate(), Pred("a", ">", 4.0)]), [2, 3])):
+        got = con.execute(f"SELECT _row FROM t WHERE {to_sql(q, sch)} ORDER BY _row").fetchall()
+        assert [r for (r,) in got] == want == np.flatnonzero(eval_mask(q, enc)).tolist(), q
+    con.close()
+
+
 def test_iter_unary_preds():
     p1, p2 = Pred("a", "<", 1), Pred("b", ">", 2)
     q = And([p1, Or([p2, AdvPred("z", "a", "<", "b")])])

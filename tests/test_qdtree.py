@@ -11,15 +11,15 @@ from repro.core.predicates import AdvPred, And, Pred, eval_mask
 from repro.core.qdtree import QdTree, TreeNode, block_stats
 from repro.core.schema import infer_schema
 
-from .reference import Interval, block_description, descriptions
+from .reference import Interval, block_description, descriptions, split_node
 
 
 @pytest.fixture(scope="module")
 def manual_tree(tiny2d_module):
     pdf, sch, enc = tiny2d_module
     root = TreeNode(Blocks.root(sch))
-    l, r = root.split(Pred("cpu", "<", 50.0))
-    l.split(Pred("disk", "<", 0.5))
+    l, r = split_node(root, Pred("cpu", "<", 50.0))
+    split_node(l, Pred("disk", "<", 0.5))
     return QdTree.build(root, sch), enc
 
 
@@ -94,7 +94,7 @@ def test_query_bids_rows_outside_domain():
     sch = infer_schema(pdf, domains={"x": (0.0, 100.0), "y": (0.0, 100.0)})
     enc = sch.encode(pdf)
     root = TreeNode(Blocks.root(sch))
-    root.split(Pred("x", ">", 150.0))
+    split_node(root, Pred("x", ">", 150.0))
     tree = QdTree.build(root, sch)
     assert tree.route(enc).tolist() == [1, 1, 0, 0]
     assert descriptions(tree.blocks)[0].ranges["x"].is_empty()
@@ -207,7 +207,7 @@ def test_layout_ac_query_needs_ac_stats():
 def test_split_guard(manual_tree):
     tree, _ = manual_tree
     with pytest.raises(AssertionError):
-        tree.root.split(Pred("cpu", "<", 10.0))
+        split_node(tree.root, Pred("cpu", "<", 10.0))
 
 
 def test_pickle_roundtrip(manual_tree):

@@ -70,6 +70,6 @@ def test_routing_never_prunes_a_matching_block(rows, W, b):
         if relaxed:
             layout = build_overlap_layout(tree, enc, b)
             for q in W:
-                scanned = {r for bid in layout.query_blocks(q, sch)
+                scanned = {r for bid in layout.query_blocks(q)
                            for r in layout.rows[bid].tolist()}
                 assert set(np.flatnonzero(eval_mask(q, enc)).tolist()) <= scanned, q

@@ -13,7 +13,7 @@ from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks
-from repro.core.predicates import And, Pred, eval_mask, to_sql
+from repro.core.predicates import AdvPred, And, Pred, eval_mask, to_sql
 from repro.core.qdtree import QdTree, TreeNode, block_stats
 from repro.core.schema import infer_schema
 from repro.experiments.physical import MODES
@@ -28,6 +28,8 @@ from repro.spark_io.layout import (
     write_tree_layout,
 )
 from repro.workloads import asts
+
+from .reference import split_node
 
 
 @pytest.fixture(scope="module")
@@ -93,11 +95,24 @@ def test_spark_routing_matches_pandas(spark, request, name):
     assert (_spark_bids(spark, tree, raw, bundle.schema) == expected).all()
 
 
+def test_null_routes_right_under_negated_ac(spark):
+    """A NULL operand makes ``NOT(x < y)`` NULL, so numpy routing sends the
+    row right, as the Catalyst ``CASE`` does by its ``ELSE``."""
+    raw = pd.DataFrame({"x": [1.0, np.nan, 5.0, 2.0], "y": [2.0, 3.0, np.nan, 1.0]})
+    sch = infer_schema(raw)
+    root = TreeNode(Blocks.root(sch, ("xy",)))
+    split_node(root, AdvPred("xy", "x", "<", "y", negated=True))
+    tree = QdTree.build(root, sch)
+    bids = tree.route(sch.encode(raw))
+    assert bids.tolist() == [1, 1, 1, 0]
+    assert (_spark_bids(spark, tree, raw, sch) == bids).all()
+
+
 def _chain_tree(schema, cuts) -> QdTree:
     """A tree whose every cut splits off one leaf on the left."""
     root = node = TreeNode(Blocks.root(schema))
     for cut in cuts:
-        _, node = node.split(cut)
+        _, node = split_node(node, cut)
     return QdTree.build(root, schema)
 
 

@@ -74,7 +74,7 @@ def test_trees_respect_sample_min_size(fig3):
 
 
 def test_builders_reject_nonpositive_min_block_size(fig3):
-    """Greedy and WOODBLOCK share CutMatrix.legal, which refuses b < 1: at
+    """Greedy and WOODBLOCK share greedy.grow, which refuses b < 1: at
     b = 0 every cut, even one with an empty child, would be legal."""
     enc, sch, W, cuts = fig3
     for b in (0, -1):
