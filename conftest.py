@@ -51,6 +51,15 @@ import pytest  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
 
 
+def pytest_collection_modifyitems(items):
+    """Mark every test that requests the ``spark`` fixture, directly or
+    through another fixture, with ``spark``. Nothing is deselected unless
+    ``-m`` asks: ``pytest -m "not spark"`` runs the numpy-only tests."""
+    for item in items:
+        if "spark" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.spark)
+
+
 @pytest.fixture(scope="session")
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
-from .predicates import Node, eval_mask
+from .predicates import Node, eval_masks
 from .qdtree import block_stats
 from .schema import TableSchema
 
@@ -50,6 +50,14 @@ class LayoutMetrics:
         return self.tuples_selected / (self.n_rows * self.n_queries)
 
 
+def _accessed(encoded, bids, schema, workload, acs) -> tuple[np.ndarray, int]:
+    """Tuples accessed by each query, and the number of distinct BIDs,
+    which one sort renumbers ``0..n_blocks-1``."""
+    uniq, inv = np.unique(bids, return_inverse=True)
+    layout = block_stats(encoded, inv, schema, acs or {}, len(uniq))
+    return layout.sizes @ layout.blocks.intersects(workload), len(uniq)
+
+
 def per_query_accessed(
     encoded: pd.DataFrame,
     bids: np.ndarray,
@@ -58,9 +66,7 @@ def per_query_accessed(
     acs: dict | None = None,
 ) -> np.ndarray:
     """Tuples accessed by each query individually under a layout."""
-    uniq, inv = np.unique(bids, return_inverse=True)
-    layout = block_stats(encoded, inv, schema, acs or {}, len(uniq))
-    return layout.sizes @ layout.blocks.intersects(workload)
+    return _accessed(encoded, bids, schema, workload, acs)[0]
 
 
 def evaluate_layout(
@@ -71,12 +77,12 @@ def evaluate_layout(
     acs: dict | None = None,
 ) -> LayoutMetrics:
     """Uniform block-stats scoring of a row→BID assignment (Table 2)."""
-    accessed = per_query_accessed(encoded, bids, schema, workload, acs)
-    selected = int(sum(eval_mask(q, encoded).sum() for q in workload))
+    accessed, n_blocks = _accessed(encoded, bids, schema, workload, acs)
+    selected = sum(np.count_nonzero(m) for m in eval_masks(workload, encoded))
     return LayoutMetrics(
         n_rows=len(encoded),
         n_queries=len(workload),
-        n_blocks=len(np.unique(bids)),
+        n_blocks=n_blocks,
         tuples_accessed=int(accessed.sum()),
-        tuples_selected=selected,
+        tuples_selected=int(selected),
     )

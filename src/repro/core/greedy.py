@@ -39,7 +39,7 @@ import pandas as pd
 
 from .intersect import Blocks, Workload, compile_workload
 from .predicates import Node as QueryNode
-from .predicates import eval_mask
+from .predicates import eval_masks
 from .qdtree import QdTree, TreeNode
 from .schema import TableSchema
 
@@ -54,7 +54,7 @@ class CutMatrix:
 
     @staticmethod
     def build(cuts: Sequence, encoded: pd.DataFrame) -> "CutMatrix":
-        by_cut = np.stack([eval_mask(c, encoded) for c in cuts]) if cuts else \
+        by_cut = np.stack(eval_masks(cuts, encoded)) if cuts else \
             np.zeros((0, len(encoded)), dtype=bool)
         # row-major too, so that left_counts gathers whole rows
         return CutMatrix(list(cuts), by_cut.T.copy(), by_cut)

@@ -11,17 +11,21 @@ Three leaf forms (Sec 3, 6.1 of the paper):
 * :class:`And` / :class:`Or` — arbitrary nesting for queries.
 
 Every node supports vectorised evaluation over an encoded pandas frame
-(:func:`eval_mask`) and compilation to SQL text in *raw* literal space
-(:func:`to_sql`): the one compiler for Spark's routed reads, the tree's
-``CASE`` routing expression and the DuckDB oracle. ``eval_mask`` is the
-independent reference the tests check both engines against. A NULL (NaN)
+and compilation to SQL text in *raw* literal space (:func:`to_sql`): the
+one compiler for Spark's routed reads, the tree's ``CASE`` routing
+expression and the DuckDB oracle. :func:`eval_masks` is the one row
+kernel: it evaluates many trees over one frame, each distinct leaf once
+(:func:`atom_mask`), and serves the cut matrix, layout scoring, block
+stats and numpy routing; :func:`eval_mask` is its one-node case. The
+tests hold it to DuckDB over ``to_sql`` for whole workloads. A NULL (NaN)
 value satisfies no leaf, a negated AC included, as in SQL, where
 ``NOT(x < y)`` is NULL when ``x`` is.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 import pandas as pd
@@ -109,33 +113,84 @@ _NUMPY_OPS = {
 
 
 # --------------------------------------------------------------- evaluation
-def adv_mask(node: AdvPred, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x op y``, or its negation, row by row, as SQL reads it: a NULL
-    (NaN) operand makes both NULL, which selects no row."""
-    m = _NUMPY_OPS[node.op](x, y)
-    return ~(m | pd.isna(x) | pd.isna(y)) if node.negated else m
+def _in_mask(col: np.ndarray, values: frozenset) -> np.ndarray:
+    """Exactly ``np.isin(col, values)``. Over non-negative integer codes
+    it is a lookup in a boolean table indexed by code, which covers every
+    code of the column and is no longer than the column; anything else
+    (floats, negative codes or literals, no rows, no literals) keeps
+    ``np.isin``."""
+    if (col.dtype.kind in "iu" and len(col) and values
+            and all(isinstance(v, (int, np.integer)) for v in values)
+            and min(values) >= 0 and col.min() >= 0):
+        top = max(int(max(values)), int(col.max()))
+        if top < len(col):
+            table = np.zeros(top + 1, dtype=bool)
+            table[np.fromiter(values, dtype=np.int64, count=len(values))] = True
+            return table[col]
+    return np.isin(col, list(values))
+
+
+def atom_mask(atom: Pred | AdvPred, col) -> np.ndarray:
+    """Fresh boolean mask of one leaf over the columns ``col(name)``
+    returns. An advanced cut reads as in SQL: a NULL (NaN) operand makes
+    both it and its negation NULL, which selects no row."""
+    if isinstance(atom, Pred):
+        c = col(atom.attr)
+        if atom.op == "in":
+            return _in_mask(c, atom.value)
+        return _NUMPY_OPS[atom.op](c, atom.value)
+    if isinstance(atom, AdvPred):
+        x, y = col(atom.attr1), col(atom.attr2)
+        m = _NUMPY_OPS[atom.op](x, y)
+        return ~(m | pd.isna(x) | pd.isna(y)) if atom.negated else m
+    raise TypeError(f"not a leaf: {atom!r}")
+
+
+def eval_masks(nodes: Sequence[Node], pdf: pd.DataFrame) -> list[np.ndarray]:
+    """Boolean satisfaction mask of each of ``nodes`` over an *encoded*
+    frame, each a fresh array the caller owns.
+
+    Each column is pulled out of pandas once and each distinct leaf is
+    evaluated once, however many nodes hold it; ``And``/``Or`` reduce in
+    place into a new array. A leaf's mask is kept only until its last use.
+    """
+    cols: dict[str, np.ndarray] = {}
+    leaves: dict = {}  # leaf -> mask, while uses of it remain
+    uses = Counter(a for q in nodes for a in atoms(q))
+
+    def col(name: str) -> np.ndarray:
+        if name not in cols:
+            cols[name] = pdf[name].to_numpy()
+        return cols[name]
+
+    def leaf(atom, fresh: bool) -> np.ndarray:
+        m = leaves.pop(atom, None)
+        if m is None:
+            m = atom_mask(atom, col)
+        uses[atom] -= 1
+        if uses[atom]:
+            leaves[atom] = m
+            return m.copy() if fresh else m
+        return m
+
+    def mask(node: Node) -> np.ndarray:
+        if isinstance(node, (Pred, AdvPred)):
+            return leaf(node, fresh=True)
+        if isinstance(node, And):
+            out, op = np.ones(len(pdf), dtype=bool), np.logical_and
+        else:  # atoms() has rejected every other node type
+            out, op = np.zeros(len(pdf), dtype=bool), np.logical_or
+        for c in node.children:
+            op(out, leaf(c, fresh=False) if isinstance(c, (Pred, AdvPred)) else mask(c),
+               out=out)
+        return out
+
+    return [mask(q) for q in nodes]
 
 
 def eval_mask(node: Node, pdf: pd.DataFrame) -> np.ndarray:
     """Boolean satisfaction mask of ``node`` over an *encoded* frame."""
-    if isinstance(node, Pred):
-        col = pdf[node.attr].to_numpy()
-        if node.op == "in":
-            return np.isin(col, list(node.value))
-        return _NUMPY_OPS[node.op](col, node.value)
-    if isinstance(node, AdvPred):
-        return adv_mask(node, pdf[node.attr1].to_numpy(), pdf[node.attr2].to_numpy())
-    if isinstance(node, And):
-        out = np.ones(len(pdf), dtype=bool)
-        for c in node.children:
-            out &= eval_mask(c, pdf)
-        return out
-    if isinstance(node, Or):
-        out = np.zeros(len(pdf), dtype=bool)
-        for c in node.children:
-            out |= eval_mask(c, pdf)
-        return out
-    raise TypeError(f"unknown node {node!r}")
+    return eval_masks([node], pdf)[0]
 
 
 # ------------------------------------------------------------------- to SQL

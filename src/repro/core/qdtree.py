@@ -35,22 +35,9 @@ import numpy as np
 import pandas as pd
 
 from .intersect import Blocks, Space
-from .predicates import AdvPred, Pred
 from .predicates import Node as QueryNode
-from .predicates import _NUMPY_OPS, adv_mask, eval_mask, to_sql
+from .predicates import atom_mask, eval_masks, to_sql
 from .schema import TableSchema
-
-
-def _eval_cut_idx(cut, cols: dict[str, np.ndarray], idx: np.ndarray) -> np.ndarray:
-    """Evaluate a (unary or advanced) cut on rows ``idx`` of a column dict."""
-    if isinstance(cut, Pred):
-        col = cols[cut.attr][idx]
-        if cut.op == "in":
-            return np.isin(col, list(cut.value))
-        return _NUMPY_OPS[cut.op](col, cut.value)
-    if isinstance(cut, AdvPred):
-        return adv_mask(cut, cols[cut.attr1][idx], cols[cut.attr2][idx])
-    raise TypeError(f"cuts must be Pred or AdvPred, got {cut!r}")
 
 
 @dataclass
@@ -125,7 +112,7 @@ class QdTree:
             if node.is_leaf:
                 bids[idx] = node.bid
                 return
-            m = _eval_cut_idx(node.cut, cols, idx)
+            m = atom_mask(node.cut, lambda name: cols[name][idx])
             down(node.left, idx[m])
             down(node.right, idx[~m])
 
@@ -187,7 +174,9 @@ def block_stats(
     range of each numeric column, the mask of the categorical codes present
     and the AC bits (of the AdvPreds in ``acs``) of its rows. NaN (NULL)
     values, which match no range predicate, are left out of the min-max
-    range. A block with no rows gets the empty description.
+    range; a row whose AC operand is NULL satisfies neither the AC nor its
+    negation, so it sets neither AC bit. A block with no rows gets the
+    empty description.
     """
     bids = np.asarray(bids)
     sizes = np.bincount(bids, minlength=n_blocks)
@@ -207,8 +196,9 @@ def block_stats(
         masks[bids, off + encoded[name].to_numpy().astype(int)] = True
     may_true = np.zeros((n_blocks, len(acs)), dtype=bool)
     may_false = np.zeros((n_blocks, len(acs)), dtype=bool)
-    for j, pred in enumerate(acs.values()):
-        m = eval_mask(pred, encoded)
-        may_true[bids[m], j] = True
-        may_false[bids[~m], j] = True
+    preds = list(acs.values())
+    sides = eval_masks(preds + [p.negate() for p in preds], encoded)
+    for j in range(len(preds)):
+        may_true[bids[sides[j]], j] = True
+        may_false[bids[sides[len(preds) + j]], j] = True
     return Layout(Blocks(space, lo, hi, masks, may_true, may_false), sizes)

@@ -172,8 +172,9 @@ class Description:
 def block_description(rows: pd.DataFrame, schema: TableSchema, acs: dict[str, Node]) -> Description:
     """Min-max + dictionary-mask + AC-bit description of one block's rows.
 
-    NaN (NULL) values are left out of the min-max range. An empty block
-    yields an empty description (prunes everything).
+    NaN (NULL) values are left out of the min-max range, and a row whose
+    AC operand is NULL sets neither AC bit. An empty block yields an empty
+    description (prunes everything).
     """
     ranges: dict[str, Interval] = {}
     masks: dict[str, np.ndarray] = {}
@@ -194,8 +195,8 @@ def block_description(rows: pd.DataFrame, schema: TableSchema, acs: dict[str, No
         if empty:
             ac_bits[ac_name] = (False, False)
         else:
-            m = eval_mask(pred, rows)
-            ac_bits[ac_name] = (bool(m.any()), bool((~m).any()))
+            ac_bits[ac_name] = (bool(eval_mask(pred, rows).any()),
+                                bool(eval_mask(pred.negate(), rows).any()))
     return Description(ranges, masks, ac_bits)
 
 

@@ -12,10 +12,12 @@ from repro.core.predicates import (
     Or,
     Pred,
     eval_mask,
+    eval_masks,
     atoms,
     to_sql,
 )
 from repro.core.schema import infer_schema
+from repro.workloads import asts
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,74 @@ def test_in_mask(frame):
     _, _, enc = frame
     m = eval_mask(Pred("c", "in", frozenset([0, 2])), enc)
     assert (m == enc.c.isin([0, 2]).to_numpy()).all()
+
+
+_CODES = np.random.default_rng(3).integers(0, 50, 400)
+
+
+@pytest.mark.parametrize("col, values", [
+    (_CODES, [10, 20, 21]),  # codes above and below the literal set
+    (_CODES, [0, 49]),
+    (_CODES, [45, 70]),  # a literal above every code
+    (_CODES.astype(np.uint8), [3, 4]),
+    (_CODES.astype(np.int32), [np.int64(7), 300]),
+    (_CODES, [-1, 3]),  # a negative literal
+    (_CODES - 5, [-3, 3]),  # negative codes
+    (_CODES, []),  # an empty set
+    (np.where(_CODES % 7 == 0, np.nan, _CODES.astype(float)), [1, 2, 14]),  # floats with NaN
+    (np.array([], dtype=np.int64), [1, 2]),  # no rows
+    (_CODES[:10], [1, 2, 3]),  # codes beyond the frame's length
+    (np.array([2**40, 1, 3], dtype=np.int64), [1, 2**40]),
+], ids=["around", "ends", "above", "uint8", "int32", "neg-literal", "neg-codes",
+        "empty-set", "float-nan", "no-rows", "short", "wide"])
+def test_in_matches_isin(col, values):
+    """``in`` selects exactly what ``np.isin`` does over the codes, whether
+    it takes the lookup table or ``np.isin`` itself, alone, in a query and
+    repeated across queries."""
+    pdf = pd.DataFrame({"c": col, "d": np.arange(len(col)) % 3})
+    p = Pred("c", "in", frozenset(values))
+    want = np.isin(col, values)
+    q = And([p, Pred("d", "=", 1)])
+    got = eval_masks([p, q, Or([Pred("d", "=", 0), p]), p], pdf)
+    assert got[0].dtype == bool and (got[0] == want).all()
+    assert (got[1] == (want & (pdf.d == 1).to_numpy())).all()
+    assert (got[2] == (want | (pdf.d == 0).to_numpy())).all()
+    assert (got[3] == want).all()
+    assert (eval_mask(p, pdf) == want).all()
+
+
+def test_masks_are_the_callers(frame):
+    """No two returned masks share memory, and mutating one changes no
+    later result."""
+    _, _, enc = frame
+    p, c = Pred("a", "<", 50.0), Pred("c", "in", frozenset([0, 2]))
+    nodes = [p, And([p, c]), p, c, Or([c, p])]
+    got = eval_masks(nodes, enc)
+    want = [m.copy() for m in got]
+    got[0][:] = ~got[0]
+    assert (got[2] == want[2]).all()
+    for m in got:
+        m[:] = True
+    assert all((m == w).all() for m, w in zip(eval_masks(nodes, enc), want))
+    assert (eval_mask(p, enc) == want[0]).all() and (eval_mask(c, enc) == want[3]).all()
+
+
+@pytest.mark.parametrize("name", ["tpch", "errlog_int", "errlog_ext"])
+def test_whole_workload_counts_match_duckdb(request, name):
+    """Each query's ``eval_masks`` count over the encoded table equals
+    DuckDB's ``count(*)`` by its ``to_sql`` text over the raw table, for
+    every query of the workload."""
+    bd = request.getfixturevalue(f"{name}_bundle")
+    W = asts(bd.queries)
+    assert len(set(a for q in W for a in atoms(q))) < sum(1 for q in W for a in atoms(q))
+    sql = ", ".join(f"count(*) FILTER (WHERE {to_sql(q, bd.schema)})" for q in W)
+    con = duckdb.connect()
+    try:
+        con.register("t", bd.raw)
+        want = list(con.execute(f"SELECT {sql} FROM t").fetchone())
+    finally:
+        con.close()
+    assert [int(np.count_nonzero(m)) for m in eval_masks(W, bd.encoded)] == want
 
 
 def test_in_coerces_value_to_frozenset():

@@ -1,13 +1,14 @@
 """QdTree: routing partition/completeness, query routing, block stats."""
 import pickle
 
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks
-from repro.core.predicates import AdvPred, And, Pred, eval_mask
+from repro.core.predicates import AdvPred, And, Pred, eval_mask, to_sql
 from repro.core.qdtree import QdTree, TreeNode, block_stats
 from repro.core.schema import infer_schema
 
@@ -186,6 +187,28 @@ def test_block_stats_skips_nan():
     assert (layout.blocks.lo.tolist(), layout.blocks.hi.tolist()) == ([[1.0]], [[2.0]])
     assert descriptions(layout.blocks)[0].ranges == block_description(enc, sch, {}).ranges
     assert layout.query_bids(Pred("x", "<", 5.0)) == [0]
+
+
+def test_null_ac_sets_neither_bit():
+    """A row whose AC operand is NULL satisfies neither ``x < y`` nor
+    ``NOT(x < y)``, so its block gets neither AC bit and ``NOT(x < y)`` is
+    routed to no block: DuckDB finds no row matching it either."""
+    raw = pd.DataFrame({"x": [1.0, np.nan], "y": [2.0, 3.0]})
+    sch = infer_schema(raw)
+    ac = AdvPred("xy", "x", "<", "y")
+    layout = block_stats(sch.encode(raw), np.array([0, 1]), sch, {"xy": ac}, 2)
+    assert layout.blocks.may_true.tolist() == [[True], [False]]
+    assert layout.blocks.may_false.tolist() == [[False], [False]]
+    assert layout.query_bids(ac) == [0]
+    assert layout.query_bids(ac.negate()) == []
+    con = duckdb.connect()
+    try:
+        con.register("t", raw)
+        for q, bids in ((ac, [0]), (ac.negate(), [])):
+            rows = con.execute(f"SELECT count(*) FROM t WHERE {to_sql(q, sch)}").fetchone()[0]
+            assert rows == int(layout.sizes[bids].sum()), q
+    finally:
+        con.close()
 
 
 def test_layout_ac_query_needs_ac_stats():
