@@ -50,7 +50,13 @@ class LayoutMetrics:
         return self.tuples_selected / (self.n_rows * self.n_queries)
 
 
-def _accessed(encoded, bids, schema, workload, acs) -> tuple[np.ndarray, int]:
+def _accessed(
+    encoded: pd.DataFrame,
+    bids: np.ndarray,
+    schema: TableSchema,
+    workload: Sequence[Node],
+    acs: dict | None,
+) -> tuple[np.ndarray, int]:
     """Tuples accessed by each query, and the number of distinct BIDs,
     which one sort renumbers ``0..n_blocks-1``."""
     uniq, inv = np.unique(bids, return_inverse=True)

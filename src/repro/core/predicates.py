@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 import pandas as pd
@@ -130,7 +130,7 @@ def _in_mask(col: np.ndarray, values: frozenset) -> np.ndarray:
     return np.isin(col, list(values))
 
 
-def atom_mask(atom: Pred | AdvPred, col) -> np.ndarray:
+def atom_mask(atom: Pred | AdvPred, col: Callable[[str], np.ndarray]) -> np.ndarray:
     """Fresh boolean mask of one leaf over the columns ``col(name)``
     returns. An advanced cut reads as in SQL: a NULL (NaN) operand makes
     both it and its negation NULL, which selects no row."""
