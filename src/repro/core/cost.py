@@ -4,15 +4,14 @@ Implements Eq. (1): a block is *accessed* by query ``q`` iff its metadata
 intersects ``q``; the workload's logical cost is the sum of accessed block
 sizes over all queries. ``C(P)`` (tuples skipped) is the complement.
 
-* :func:`per_query_accessed` — the one block × query scorer: given the
-  row→BID assignment of *any* partitioner, build its
-  :class:`~.qdtree.Layout` (min-max + categorical masks + AC bits from the
-  actual rows, :func:`~.qdtree.block_stats`) and count each query's
-  accessed tuples with one blocks × queries intersection matrix
-  (:mod:`.intersect`).
-* :func:`evaluate_layout` — the uniform Table-2 scorer built on it, used
-  identically for the random/range baselines, Bottom-Up, Greedy and
-  WOODBLOCK so comparisons are apples-to-apples.
+* :func:`evaluate_layout` — the uniform Table-2 scorer, used identically
+  for the random/range baselines, Bottom-Up, Greedy and WOODBLOCK so
+  comparisons are apples-to-apples: given the row→BID assignment of *any*
+  partitioner, it builds the :class:`~.qdtree.Layout` of BIDs
+  ``0..max(bids)`` (min-max + categorical masks + AC bits from the actual
+  rows, :func:`~.qdtree.block_stats`) and counts each query's accessed
+  tuples with :meth:`~.qdtree.Layout.accessed`, the one blocks × queries
+  scorer. A BID that labels no row is an empty block, which costs nothing.
 """
 from __future__ import annotations
 
@@ -50,31 +49,6 @@ class LayoutMetrics:
         return self.tuples_selected / (self.n_rows * self.n_queries)
 
 
-def _accessed(
-    encoded: pd.DataFrame,
-    bids: np.ndarray,
-    schema: TableSchema,
-    workload: Sequence[Node],
-    acs: dict | None,
-) -> tuple[np.ndarray, int]:
-    """Tuples accessed by each query, and the number of distinct BIDs,
-    which one sort renumbers ``0..n_blocks-1``."""
-    uniq, inv = np.unique(bids, return_inverse=True)
-    layout = block_stats(encoded, inv, schema, acs or {}, len(uniq))
-    return layout.sizes @ layout.blocks.intersects(workload), len(uniq)
-
-
-def per_query_accessed(
-    encoded: pd.DataFrame,
-    bids: np.ndarray,
-    schema: TableSchema,
-    workload: Sequence[Node],
-    acs: dict | None = None,
-) -> np.ndarray:
-    """Tuples accessed by each query individually under a layout."""
-    return _accessed(encoded, bids, schema, workload, acs)[0]
-
-
 def evaluate_layout(
     encoded: pd.DataFrame,
     bids: np.ndarray,
@@ -83,12 +57,13 @@ def evaluate_layout(
     acs: dict | None = None,
 ) -> LayoutMetrics:
     """Uniform block-stats scoring of a row→BID assignment (Table 2)."""
-    accessed, n_blocks = _accessed(encoded, bids, schema, workload, acs)
+    bids = np.asarray(bids)
+    layout = block_stats(encoded, bids, schema, acs or {}, int(bids.max(initial=-1)) + 1)
     selected = sum(np.count_nonzero(m) for m in eval_masks(workload, encoded))
     return LayoutMetrics(
         n_rows=len(encoded),
         n_queries=len(workload),
-        n_blocks=n_blocks,
-        tuples_accessed=int(accessed.sum()),
+        n_blocks=int(np.count_nonzero(layout.sizes)),
+        tuples_accessed=int(layout.accessed(workload).sum()),
         tuples_selected=int(selected),
     )

@@ -46,18 +46,18 @@ from .schema import TableSchema
 
 @dataclass
 class CutMatrix:
-    """Candidate cuts with precomputed satisfaction masks over a dataset."""
+    """Candidate cuts with precomputed satisfaction masks over a dataset,
+    held once, row-major."""
 
     cuts: list
     masks: np.ndarray  # (N, |P|) bool — masks[r, i] ⇔ row r satisfies cuts[i]
-    by_cut: np.ndarray  # (|P|, N) bool, the same cut-major: one cut's rows contiguous
 
     @staticmethod
     def build(cuts: Sequence, encoded: pd.DataFrame) -> "CutMatrix":
         by_cut = np.stack(eval_masks(cuts, encoded)) if cuts else \
             np.zeros((0, len(encoded)), dtype=bool)
-        # row-major too, so that left_counts gathers whole rows
-        return CutMatrix(list(cuts), by_cut.T.copy(), by_cut)
+        # row-major, so that left_counts gathers whole rows
+        return CutMatrix(list(cuts), by_cut.T.copy())
 
     def left_counts(self, idx: np.ndarray) -> np.ndarray:
         """Per-cut count of rows in ``idx`` satisfying the cut. Rows are
@@ -126,7 +126,7 @@ def grow(
     n_cuts = len(cm.cuts)
     root = TreeNode(root_desc, n_rows=len(cm.masks))
     nodes, desc, idx = [root], root_desc, [np.arange(len(cm.masks))]
-    counts = [np.count_nonzero(cm.by_cut, axis=1) if len(idx[0]) >= fit else None]
+    counts = [cm.left_counts(idx[0]) if len(idx[0]) >= fit else None]
     boxes = np.arange(wl.box_atoms.shape[1])
     leaves: list[tuple[TreeNode, int]] = []
     while nodes:
@@ -157,7 +157,7 @@ def grow(
             sizes = (n_left, nodes[i].n_rows - n_left)
             pair, got = [None, None], [None, None]
             if max(sizes) >= fit:  # a child may be split: it needs rows and counts
-                m = cm.by_cut[ci][rows]
+                m = cm.masks[rows, ci]
                 pair = [np.compress(m, rows), np.compress(~m, rows)]
                 # gather the smaller child; the other's counts are the
                 # parent's minus its

@@ -29,7 +29,7 @@ builds routes by the min-max stats of each block's rows instead (Sec 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -155,9 +155,10 @@ class Layout:
         """Blocks whose stats may intersect ``query``."""
         return self.blocks.query_bids(query)
 
-    def accessed(self, query: QueryNode) -> int:
-        """Rows in the blocks ``query`` is routed to."""
-        return int(self.sizes[self.query_bids(query)].sum())
+    def accessed(self, workload: Sequence[QueryNode]) -> np.ndarray:
+        """Per query of ``workload``, the rows in the blocks its stats route
+        it to: Eq. (1)'s tuples accessed, one blocks × queries matrix."""
+        return self.sizes @ self.blocks.intersects(workload)
 
 
 def block_stats(

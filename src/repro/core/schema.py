@@ -25,7 +25,12 @@ NUMERIC = "numeric"
 CATEGORICAL = "categorical"
 DATE = "date"
 
-_EPOCH = pd.Timestamp("1970-01-01")
+EPOCH = pd.Timestamp("1970-01-01")  # day 0 of encoded DATE columns
+
+
+def day_number(ts) -> int:
+    """Encoded day of a date or timestamp (days since :data:`EPOCH`)."""
+    return (pd.Timestamp(ts) - EPOCH).days
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ class TableSchema:
         if spec.kind == CATEGORICAL:
             return spec.domain[int(code)]
         if spec.kind == DATE:
-            return (_EPOCH + pd.Timedelta(days=int(code))).date()
+            return (EPOCH + pd.Timedelta(days=int(code))).date()
         return code
 
     def sql_literal(self, col: str, code: Any) -> str:
@@ -122,7 +127,7 @@ class TableSchema:
 
 def encode_dates(col: pd.Series) -> pd.Series:
     """Datetime series -> int64 days since epoch."""
-    return ((pd.to_datetime(col) - _EPOCH) // pd.Timedelta(days=1)).astype(np.int64)
+    return ((pd.to_datetime(col) - EPOCH) // pd.Timedelta(days=1)).astype(np.int64)
 
 
 def infer_schema(

@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 import pandas as pd
 
-from .cost import per_query_accessed
 from .predicates import Node
-from .qdtree import QdTree
+from .qdtree import QdTree, block_stats
 from .schema import TableSchema
 
 
@@ -59,14 +58,20 @@ def two_tree_layout(
     """Build (T1, T2) per Sec 6.3. ``build(queries)`` constructs one
     qd-tree optimised for the given query subset (e.g. a greedy_qdtree or
     woodblock closure)."""
+
+    def accessed(t: QdTree) -> np.ndarray:
+        """Tuples each query accesses under tree ``t``'s block stats."""
+        stats = block_stats(encoded, t.route(encoded), schema, acs or {}, t.n_leaves)
+        return stats.accessed(workload)
+
     t1 = build(list(workload))
-    a1 = per_query_accessed(encoded, t1.route(encoded), schema, workload, acs)
+    a1 = accessed(t1)
     # worst-skippability set: queries above the median access under T1
     # (nonempty as long as any query accesses anything)
     thresh = np.median(a1)
     worst = [q for q, a in zip(workload, a1) if a >= max(thresh, 1)]
     t2 = build(worst if worst else list(workload))
-    a2 = per_query_accessed(encoded, t2.route(encoded), schema, workload, acs)
+    a2 = accessed(t2)
     return TwoTreeLayout(
         tree1=t1,
         tree2=t2,

@@ -97,7 +97,9 @@ def run_physical(
                 scanned, routed = blocks_scanned(agg), len(router.query_bids(q.ast))
                 if scanned != routed:
                     raise RuntimeError(f"{q.template}: scanned {scanned} blocks, routed {routed}")
-        rows_routed[q.template] += layout.accessed(q.ast)
+
+    for q, rows in zip(queries, layout.accessed([q.ast for q in queries])):
+        rows_routed[q.template] += int(rows)
 
     totals = {
         mode: float(sum(np.mean(m[mode]) for m in per_template.values()))

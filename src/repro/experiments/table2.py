@@ -48,10 +48,13 @@ class WorkloadBundle:
     schema: TableSchema
     queries: list[Query]
     b: int
-    baseline_kind: str  # "random" | "range"
-    range_col: str | None = None  # ingest-time column for the range baseline
-    ac_names: tuple = ()
+    range_col: str | None = None  # ingest-time column for the range
+    #                               baseline; None: the random baseline
     acs: dict = field(default_factory=dict)
+
+    @property
+    def ac_names(self) -> tuple:
+        return tuple(self.acs)
 
 
 def make_bundle(
@@ -75,8 +78,7 @@ def make_bundle(
         return WorkloadBundle(
             name, raw, sch.encode(raw), sch, queries,
             b=b if b is not None else max(2, int(3000 * scale)),
-            baseline_kind="random",
-            ac_names=tpch.AC_NAMES, acs=tpch.AC_MAP,
+            acs=tpch.AC_MAP,
         )
     if name == "errlog-int":
         sch = errorlog.int_schema()
@@ -85,7 +87,7 @@ def make_bundle(
         return WorkloadBundle(
             name, raw, sch.encode(raw), sch, queries,
             b=b if b is not None else max(2, int(2000 * scale)),
-            baseline_kind="range", range_col="ingest_date",
+            range_col="ingest_date",
         )
     if name == "errlog-ext":
         sch = errorlog.ext_schema()
@@ -94,7 +96,7 @@ def make_bundle(
         return WorkloadBundle(
             name, raw, sch.encode(raw), sch, queries,
             b=b if b is not None else max(2, int(2000 * scale)),
-            baseline_kind="range", range_col="ingest_date",
+            range_col="ingest_date",
         )
     raise ValueError(f"unknown workload {name!r}")
 
@@ -127,7 +129,7 @@ def run_table2(
     for ap in approaches:
         t0 = time.perf_counter()
         if ap == "baseline":
-            if bundle.baseline_kind == "random":
+            if bundle.range_col is None:
                 bids = random_partition(len(enc), b, seed=0)
             else:
                 bids = range_partition(enc[bundle.range_col].to_numpy(), b)

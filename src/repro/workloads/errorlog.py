@@ -28,15 +28,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.predicates import And, Pred
-from ..core.schema import ColumnSpec, TableSchema
+from ..core.schema import EPOCH, ColumnSpec, TableSchema, day_number
 from . import Query
-
-_EPOCH = pd.Timestamp("1970-01-01")
-
-
-def _day(ts: str) -> int:
-    return (pd.Timestamp(ts) - _EPOCH).days
-
 
 # =========================================================== ErrorLog-Int
 N_INT_DEFAULT = 300_000
@@ -50,8 +43,8 @@ _INT_VERSIONS = tuple(f"10.0.{19000 + 10 * i}" for i in range(40))
 _INT_COMPONENTS = tuple(f"comp_{i:02d}" for i in range(30))
 _INT_COUNTRIES = tuple(f"cc_{i:02d}" for i in range(20))
 _INT_SEVERITIES = ("critical", "error", "warning", "info", "debug")
-_INT_BUILD_BASE = _day("2019-01-01")
-_INT_INGEST_BASE = _day("2020-02-01")  # one-week ingest window
+_INT_BUILD_BASE = day_number("2019-01-01")
+_INT_INGEST_BASE = day_number("2020-02-01")  # one-week ingest window
 
 
 def errorlog_int(*, n: int = N_INT_DEFAULT, seed: int = 0) -> pd.DataFrame:
@@ -68,14 +61,14 @@ def errorlog_int(*, n: int = N_INT_DEFAULT, seed: int = 0) -> pd.DataFrame:
     build = _INT_BUILD_BASE + version * 9 + g.integers(0, 9, n)
     # component correlated with event
     component = (event * 4 + g.integers(0, 6, n)) % len(_INT_COMPONENTS)
-    country = g.choice(len(_INT_COUNTRIES), n, p=_zipf_p(len(_INT_COUNTRIES), 1.2, g))
+    country = g.choice(len(_INT_COUNTRIES), n, p=_zipf_p(len(_INT_COUNTRIES), 1.2))
     ingest = _INT_INGEST_BASE + g.integers(0, 7, n)
     return pd.DataFrame(
         {
             "event_type": np.array(_INT_EVENTS)[event],
             "os_version": np.array(_INT_VERSIONS)[version],
-            "os_build_date": _EPOCH + pd.to_timedelta(build, unit="D"),
-            "ingest_date": _EPOCH + pd.to_timedelta(ingest, unit="D"),
+            "os_build_date": EPOCH + pd.to_timedelta(build, unit="D"),
+            "ingest_date": EPOCH + pd.to_timedelta(ingest, unit="D"),
             "component": np.array(_INT_COMPONENTS)[component],
             "country": np.array(_INT_COUNTRIES)[country],
             "severity": np.array(_INT_SEVERITIES)[
@@ -131,7 +124,7 @@ def int_workload(
         row = raw.iloc[int(anchors[qi])]
         ev = sch["event_type"].code_of(row["event_type"])
         extra_ev = int(g.integers(0, len(_INT_EVENTS)))
-        build = (pd.Timestamp(row["os_build_date"]) - _EPOCH).days
+        build = day_number(row["os_build_date"])
         preds = [
             Pred("event_type", "in", frozenset({ev, extra_ev})),
             Pred("os_version", "=", sch["os_version"].code_of(row["os_version"])),
@@ -153,10 +146,10 @@ _EXT_EVENTS = tuple(f"xevt_{i:02d}" for i in range(16))
 _EXT_VERSIONS = tuple(f"v{i}" for i in range(100))
 _EXT_OS = tuple(f"os_{i:02d}" for i in range(40))
 _EXT_COUNTRIES = tuple(f"cc_{i:02d}" for i in range(50))
-_EXT_BASE = _day("2020-03-01")  # 15-day window
+_EXT_BASE = day_number("2020-03-01")  # 15-day window
 
 
-def _zipf_p(k: int, alpha: float, g=None) -> np.ndarray:
+def _zipf_p(k: int, alpha: float) -> np.ndarray:
     p = 1.0 / np.arange(1, k + 1) ** alpha
     return p / p.sum()
 
@@ -182,11 +175,11 @@ def errorlog_ext(*, n: int = N_EXT_DEFAULT, seed: int = 1) -> pd.DataFrame:
             "os_version": np.array(_EXT_OS)[osv],
             "event_type": np.array(_EXT_EVENTS)[event],
             "country": np.array(_EXT_COUNTRIES)[country],
-            "event_date": _EPOCH + pd.to_timedelta(date, unit="D"),
+            "event_date": EPOCH + pd.to_timedelta(date, unit="D"),
             # external clients batch-upload with long, device-dependent lag,
             # so ingest order is ~independent of event time — which is why
             # the deployed range-on-ingest baseline cannot skip (Table 2)
-            "ingest_date": _EPOCH
+            "ingest_date": EPOCH
             + pd.to_timedelta(_EXT_BASE + g.integers(0, 16, n), unit="D"),
             "error_code": (event * 500 + g.integers(0, 500, n)).astype(np.int64),
             "session_min": (g.random(n) * 600).round(1),
@@ -228,7 +221,7 @@ def ext_workload(
         a = sch["app_id"].code_of(row["app_id"])
         apps = frozenset({a} | {int(x) for x in g.integers(0, N_APPS, g.integers(0, 3))})
         ev = sch["event_type"].code_of(row["event_type"])
-        d = (pd.Timestamp(row["event_date"]) - _EPOCH).days
+        d = day_number(row["event_date"])
         preds = [
             Pred("app_id", "in", apps),
             Pred("event_type", "in", frozenset({ev, (ev + 1) % len(_EXT_EVENTS)})),

@@ -27,7 +27,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.predicates import AdvPred, And, Or, Pred
-from ..core.schema import ColumnSpec, TableSchema
+from ..core.schema import ColumnSpec, TableSchema, day_number
 from . import Query
 
 N_PER_SF = 6_000_000
@@ -49,16 +49,10 @@ TYPES = tuple(f"{a} {c}" for a in _TYPE_ADJ for c in _TYPE_COLOR)  # 30
 AC0 = AdvPred("ac0_cnat_eq_snat", "c_nationkey", "=", "s_nationkey")
 AC1 = AdvPred("ac1_ship_lt_commit", "l_shipdate", "<", "l_commitdate")
 AC2 = AdvPred("ac2_commit_lt_receipt", "l_commitdate", "<", "l_receiptdate")
-AC_NAMES = (AC0.name, AC1.name, AC2.name)
 AC_MAP = {AC0.name: AC0, AC1.name: AC1, AC2.name: AC2}
 
-_EPOCH = pd.Timestamp("1970-01-01")
 _START = pd.Timestamp("1992-01-01")
 _N_DAYS = 2406  # o_orderdate span, as in dbgen
-
-
-def _day(ts: str) -> int:
-    return (pd.Timestamp(ts) - _EPOCH).days
 
 
 def denormalized(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
@@ -99,21 +93,6 @@ def denormalized(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     return pdf
 
 
-_CATEGORICAL = (
-    "l_returnflag",
-    "l_linestatus",
-    "l_shipmode",
-    "o_orderpriority",
-    "c_mktsegment",
-    "c_nationkey",
-    "s_nationkey",
-    "r_name",
-    "p_brand",
-    "p_type",
-    "p_container",
-)
-
-
 def schema() -> TableSchema:
     """Fixed (data-independent) schema so cuts/queries are stable across SFs."""
     from ..core.schema import CATEGORICAL, DATE, NUMERIC
@@ -127,7 +106,7 @@ def schema() -> TableSchema:
         cols[name] = ColumnSpec(name, NUMERIC, (lo, hi))
 
     def date(name, lo, hi):
-        cols[name] = ColumnSpec(name, DATE, (_day(lo), _day(hi)))
+        cols[name] = ColumnSpec(name, DATE, (day_number(lo), day_number(hi)))
 
     num("l_orderkey", 1, N_PER_SF)
     num("l_quantity", 1, 50)
@@ -159,7 +138,7 @@ def _code(sch: TableSchema, col: str, raw) -> int:
 
 
 def _rand_date(g, lo: str, hi: str) -> int:
-    a, b = _day(lo), _day(hi)
+    a, b = day_number(lo), day_number(hi)
     return int(g.integers(a, b + 1))
 
 
@@ -168,7 +147,7 @@ def _templates(sch: TableSchema):
 
     def q1(g):
         # l_shipdate <= '1998-12-01' - [60..120] days: near-full scan
-        return Pred("l_shipdate", "<=", _day("1998-12-01") - int(g.integers(60, 121)))
+        return Pred("l_shipdate", "<=", day_number("1998-12-01") - int(g.integers(60, 121)))
 
     def q3(g):
         seg = _code(sch, "c_mktsegment", g.choice(SEGMENTS))
@@ -198,7 +177,7 @@ def _templates(sch: TableSchema):
         ])
 
     def q6(g):
-        y = _day(f"{g.integers(1993, 1998)}-01-01")
+        y = day_number(f"{g.integers(1993, 1998)}-01-01")
         d = round(float(g.integers(2, 10)) / 100.0, 2)
         return And([
             Pred("l_shipdate", ">=", y),
@@ -216,8 +195,8 @@ def _templates(sch: TableSchema):
         ])
         return And([
             pair,
-            Pred("l_shipdate", ">=", _day("1995-01-01")),
-            Pred("l_shipdate", "<=", _day("1996-12-31")),
+            Pred("l_shipdate", ">=", day_number("1995-01-01")),
+            Pred("l_shipdate", "<=", day_number("1996-12-31")),
         ])
 
     def q8(g):
@@ -225,8 +204,8 @@ def _templates(sch: TableSchema):
         t = _code(sch, "p_type", g.choice(TYPES))
         return And([
             Pred("r_name", "=", r),
-            Pred("o_orderdate", ">=", _day("1995-01-01")),
-            Pred("o_orderdate", "<=", _day("1996-12-31")),
+            Pred("o_orderdate", ">=", day_number("1995-01-01")),
+            Pred("o_orderdate", "<=", day_number("1996-12-31")),
             Pred("p_type", "=", t),
         ])
 
@@ -248,7 +227,7 @@ def _templates(sch: TableSchema):
 
     def q12(g):
         m1, m2 = g.choice(len(SHIPMODES), size=2, replace=False)
-        y = _day(f"{g.integers(1993, 1998)}-01-01")
+        y = day_number(f"{g.integers(1993, 1998)}-01-01")
         return And([
             Pred("l_shipmode", "in", frozenset([int(m1), int(m2)])),
             AC1,

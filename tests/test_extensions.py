@@ -7,12 +7,13 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.cost import evaluate_layout, per_query_accessed
+from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Blocks, Space
 from repro.core.overlap import are_neighbors, build_overlap_layout
 from repro.core.predicates import AdvPred, And, Or, Pred
+from repro.core.qdtree import block_stats
 from repro.core.schema import infer_schema
 from repro.core.twotree import two_tree_layout
 from repro.workloads import asts
@@ -327,16 +328,16 @@ def test_two_tree_query_routing(tpch_bundle, tpch_cuts):
     tt = two_tree_layout(enc, sch, W, build, acs=tpch_bundle.acs)
     # each query runs on its chosen tree, the one that reads fewer rows
     bids = [tt.tree1.route(enc), tt.tree2.route(enc)]
-    got = [per_query_accessed(enc, bids[c], sch, [q], tpch_bundle.acs)[0]
+    got = [evaluate_layout(enc, bids[c], sch, [q], tpch_bundle.acs).tuples_accessed
            for c, q in zip(tt.choice, W)]
     assert got == np.minimum(tt.accessed1, tt.accessed2).tolist()
     assert sum(got) == tt.tuples_accessed
 
 
-def test_per_query_accessed_matches_evaluate(tpch_bundle, tpch_tree):
+def test_layout_accessed_matches_evaluate(tpch_bundle, tpch_tree):
     enc, sch = tpch_bundle.encoded, tpch_bundle.schema
     W = asts(tpch_bundle.queries)
     bids = tpch_tree.route(enc)
-    per_q = per_query_accessed(enc, bids, sch, W, acs=tpch_bundle.acs)
+    per_q = block_stats(enc, bids, sch, tpch_bundle.acs, tpch_tree.n_leaves).accessed(W)
     total = evaluate_layout(enc, bids, sch, W, acs=tpch_bundle.acs)
     assert per_q.sum() == total.tuples_accessed

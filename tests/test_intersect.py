@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cost import per_query_accessed
+from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
 from repro.core.intersect import Space, compile_workload
@@ -62,10 +62,25 @@ def test_layout_routing_matches_walk(bundle_trees):
         want = _walk(descriptions(layout.blocks), W)
         assert np.array_equal(layout.blocks.intersects(W), want), name
         assert [layout.query_bids(q) for q in W] == [np.flatnonzero(c).tolist() for c in want.T]
-        assert [layout.accessed(q) for q in W] == (layout.sizes @ want).tolist()
+        assert (layout.accessed(W).tolist() == (layout.sizes @ want).tolist()
+                == [layout.sizes[layout.query_bids(q)].sum() for q in W])
         full = block_stats(enc, bids, bd.schema, bd.acs, tree.n_leaves)
-        assert (per_query_accessed(enc, bids, bd.schema, W, bd.acs).tolist()
+        assert (full.accessed(W).tolist()
                 == (full.sizes @ _walk(descriptions(full.blocks), W)).tolist())
+
+
+def test_evaluate_layout_ignores_bid_labels(bundle_trees):
+    """A layout scores the same whatever numbers label its blocks: gapped
+    labels leave empty blocks, which cost nothing."""
+    bd, W, trees = bundle_trees
+    enc = bd.encoded
+    perm = np.random.default_rng(0).permutation
+    for name, tree in trees.items():
+        bids = tree.route(enc)
+        want = evaluate_layout(enc, bids, bd.schema, W, bd.acs)
+        assert want.n_blocks == tree.n_leaves, name
+        for labels in (bids * 3 + 7, perm(tree.n_leaves)[bids]):
+            assert evaluate_layout(enc, labels, bd.schema, W, bd.acs) == want, name
 
 
 def _leaf_paths(node, path=()):

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.baselines.simple import random_partition
-from repro.core.cost import per_query_accessed
+from repro.core.qdtree import block_stats
 from repro.experiments.physical import format_physical, run_physical
 from repro.workloads import asts
 
@@ -36,10 +36,9 @@ def test_rows_routed_recorded(phys, tpch_bundle, tpch_tree):
     assert sum(phys.rows_routed.values()) <= 4 * len(tpch_bundle.raw)
     # routed mode reads what Table 2 scores
     enc = tpch_bundle.encoded
-    scored = per_query_accessed(
-        enc, tpch_tree.route(enc), tpch_bundle.schema,
-        asts(tpch_bundle.queries[:4]), acs=tpch_bundle.acs,
-    )
+    scored = block_stats(
+        enc, tpch_tree.route(enc), tpch_bundle.schema, tpch_bundle.acs, tpch_tree.n_leaves,
+    ).accessed(asts(tpch_bundle.queries[:4]))
     assert sum(phys.rows_routed.values()) == scored.sum()
 
 

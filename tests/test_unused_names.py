@@ -1,6 +1,7 @@
-"""Every top-level function and class in ``src/repro``, and every public
-method, is used by the package, a job or the benchmark; and every name a
-test module imports is used in that module."""
+"""Every top-level function, class and assignment in ``src/repro``, and
+every public method, is used by the package, a job or the benchmark; every
+parameter of a function in ``src/repro`` is read by its body; and every
+name a test module imports is used in that module."""
 import ast
 from pathlib import Path
 
@@ -51,6 +52,48 @@ def test_no_unused_names():
         and all(p == path and node.lineno <= line <= node.end_lineno
                 for p, line in refs.get(name, []))
     ]
+    assert not unused
+
+
+def _module_assignments():
+    """(name, file, statement) of every name a module-level assignment in
+    ``src/repro`` binds."""
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, path, node
+
+
+def test_no_unused_module_assignments():
+    refs = _references()
+    unused = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+        for name, path, node in _module_assignments()
+        if all(p == path and node.lineno <= line <= node.end_lineno
+               for p, line in refs.get(name, []))
+    ]
+    assert not unused
+
+
+def test_no_unused_parameters():
+    unused = []
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "lambda")
+            unused += [f"{path.relative_to(ROOT)}:{fn.lineno} {name}({p.arg})"
+                       for p in params if p.arg not in read | {"self", "cls"}]
     assert not unused
 
 
