@@ -54,6 +54,7 @@ class WorkloadBundle:
 
     @property
     def ac_names(self) -> tuple:
+        """The advanced cuts' names, in ``acs`` order."""
         return tuple(self.acs)
 
 
