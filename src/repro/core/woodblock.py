@@ -108,6 +108,21 @@ class WoodblockResult:
     history: list  # (episode, this_episode_fraction, best_so_far)
 
 
+@dataclass
+class Episode:
+    """One tree built by the policy, and its transitions in breadth-first
+    order as arrays, one row per chosen cut."""
+
+    root: object  # TreeNode
+    fraction: float  # the tree's sample access fraction
+    obs: np.ndarray  # (steps, dim)
+    actions: np.ndarray  # (steps,)
+    legal: np.ndarray  # (steps, cuts)
+    logp: np.ndarray  # (steps,)
+    values: np.ndarray  # (steps,)
+    rewards: np.ndarray  # (steps,)
+
+
 def _episode(
     trainer: PPOTrainer,
     feat: Featurizer,
@@ -116,11 +131,11 @@ def _episode(
     wl: Workload,
     b_sample: int,
     max_leaves: int,
-    deterministic: bool = False,
-):
-    """Build one tree from the current policy (sampled, or argmax when
-    ``deterministic``); returns (root, transitions, rewards, access_fraction)."""
-    transitions = []  # (obs, action, legal, logp, value, node)
+    rng: np.random.Generator | None,
+) -> Episode:
+    """Build one tree from the current policy: sampled with uniforms from
+    ``rng``, or the argmax when ``rng`` is None."""
+    levels = []  # per level: (obs, actions, legal, logp, values, nodes)
 
     def choose(lv: Level) -> np.ndarray:
         """Sample (or take the argmax of) the policy on the level's nodes in
@@ -131,15 +146,12 @@ def _episode(
         if not k:
             return out
         obs, legal = feat(lv.desc[:k]), lv.legal[:k]
-        if deterministic:
+        if rng is None:
             logits, values, _ = trainer.net.forward(obs)
             ci, logp = np.where(legal, logits, -np.inf).argmax(axis=1), np.zeros(k)
         else:
-            ci, logp, values = trainer.action_logp(obs, legal)
-        transitions.extend(
-            (obs[j], int(ci[j]), legal[j], float(logp[j]), float(values[j]), lv.nodes[j])
-            for j in range(k)
-        )
+            ci, logp, values = trainer.action_logp(obs, legal, rng.random(k))
+        levels.append((obs, ci, legal, logp, values, lv.nodes[:k]))
         out[:k] = ci
         return out
 
@@ -149,15 +161,31 @@ def _episode(
     fraction = accessed / (root.n_rows * w) if w else 0.0
 
     # S(n): skipped records below each node (Sec 5.2.2), bottom-up; the
-    # transitions are in breadth-first order, so children come after parents
+    # levels are in breadth-first order, so children come after parents
+    nodes = [node for *_, lv_nodes in levels for node in lv_nodes]
     skipped = {id(node): node.n_rows * (w - nact) for node, nact in leaves}
-    for *_, node in reversed(transitions):
+    for node in reversed(nodes):
         skipped[id(node)] = skipped[id(node.left)] + skipped[id(node.right)]
-    rewards = [
+    rewards = np.array([
         skipped[id(node)] / (w * node.n_rows) if w and node.n_rows else 0.0
-        for *_, node in transitions
-    ]
-    return root, transitions, rewards, fraction
+        for node in nodes
+    ], dtype=np.float64)
+    if not levels:  # the root has no legal cut
+        levels = [(np.zeros((0, feat.dim)), np.zeros(0, dtype=np.int64),
+                   np.zeros((0, len(cm.cuts)), dtype=bool), np.zeros(0), np.zeros(0), [])]
+    cols = (np.concatenate(c) for c in list(zip(*levels))[:5])
+    return Episode(root, fraction, *cols, rewards)
+
+
+def _batch(episodes: list[Episode]) -> Batch:
+    """The episodes' transitions, in order, as one PPO batch; a node's
+    reward is its return and its advantage is the reward minus its value."""
+    def cat(name):
+        return np.concatenate([getattr(e, name) for e in episodes])
+
+    returns = cat("rewards")
+    return Batch(cat("obs"), cat("actions"), cat("legal"), cat("logp"), returns,
+                 returns - cat("values"))
 
 
 def woodblock_qdtree(
@@ -185,39 +213,25 @@ def woodblock_qdtree(
 
     best_root, best_frac = None, np.inf
     history = []
-    pend: list[tuple] = []  # transitions since the last PPO update
+    pend: list[Episode] = []  # episodes since the last PPO update
     for ep in range(cfg.episodes):
-        root, transitions, rewards, frac = _episode(
-            trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
-        )
-        if frac < best_frac:
-            best_frac, best_root = frac, root
-        history.append((ep, frac, best_frac))
-        pend.extend(
-            (obs, a, legal, logp, value, r)
-            for (obs, a, legal, logp, value, _), r in zip(transitions, rewards)
-        )
-        if ((ep + 1) % BATCH_EPISODES == 0 or ep == cfg.episodes - 1) and pend:
-            batch = Batch(
-                obs=np.stack([t[0] for t in pend]),
-                actions=np.array([t[1] for t in pend], dtype=np.int64),
-                legal=np.stack([t[2] for t in pend]),
-                old_logp=np.array([t[3] for t in pend]),
-                returns=np.array([t[5] for t in pend]),
-                advantages=np.array([t[5] - t[4] for t in pend]),
-            )
-            trainer.update(batch)
+        e = _episode(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
+                     trainer._rng)
+        if e.fraction < best_frac:
+            best_frac, best_root = e.fraction, e.root
+        history.append((ep, e.fraction, best_frac))
+        pend.append(e)
+        if (ep + 1) % BATCH_EPISODES == 0 or ep == cfg.episodes - 1:
+            if sum(len(p.actions) for p in pend):
+                trainer.update(_batch(pend))
             pend = []
 
     # deterministic deployment rollout: the argmax-policy tree is a strong
     # candidate once the policy has concentrated
-    root, _, _, frac = _episode(
-        trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
-        deterministic=True,
-    )
-    if frac < best_frac:
-        best_frac, best_root = frac, root
-    history.append((cfg.episodes, frac, best_frac))
+    e = _episode(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves, None)
+    if e.fraction < best_frac:
+        best_frac, best_root = e.fraction, e.root
+    history.append((cfg.episodes, e.fraction, best_frac))
 
     return WoodblockResult(
         tree=QdTree.build(best_root, schema), best_fraction=best_frac, history=history

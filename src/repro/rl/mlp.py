@@ -66,27 +66,50 @@ class PolicyValueNet:
 
 
 class Adam:
-    """Standard Adam optimiser over a param dict."""
+    """Standard Adam optimiser over a param dict. The moments are updated in
+    place and the step goes through two scratch buffers per parameter, with
+    the textbook formula's operations in its order, so the parameters are
+    the formula's to the bit."""
 
     def __init__(self, params: dict, lr: float = 3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self._scratch = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: dict, grads: dict) -> None:
         self.t += 1
         for k, g in grads.items():
-            self.m[k] = self.b1 * self.m[k] + (1 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1 - self.b2) * g * g
-            mhat = self.m[k] / (1 - self.b1**self.t)
-            vhat = self.v[k] / (1 - self.b2**self.t)
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            m, v, (step, tmp) = self.m[k], self.v[k], self._scratch[k]
+            m *= self.b1  # m = b1·m + (1 − b1)·g
+            m += np.multiply(g, 1 - self.b1, out=tmp)
+            v *= self.b2  # v = b2·v + (1 − b2)·g·g
+            np.multiply(g, 1 - self.b2, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            # step = lr·(m / (1 − b1^t)) / (sqrt(v / (1 − b2^t)) + eps)
+            np.divide(m, 1 - self.b1**self.t, out=step)
+            step *= self.lr
+            np.divide(v, 1 - self.b2**self.t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step /= tmp
+            params[k] -= step
+
+
+def masked_exp(x: np.ndarray, legal: np.ndarray) -> np.ndarray:
+    """``np.exp(x)`` where ``legal``, else 0. Rows masked as below hold about
+    −1e9 at illegal actions, whose exp is 0 exactly; this gives that 0
+    without the exp's slow underflow path (about 7× slower per entry)."""
+    keep = legal.astype(x.dtype)
+    out = np.exp(x * keep)
+    out *= keep
+    return out
 
 
 def masked_log_softmax(logits: np.ndarray, legal: np.ndarray) -> np.ndarray:
     """Log-softmax with illegal actions forced to ~zero probability."""
     masked = np.where(legal, logits, -1e9)
-    masked = masked - masked.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(masked).sum(axis=-1, keepdims=True))
-    return masked - lse
+    masked -= masked.max(axis=-1, keepdims=True)
+    masked -= np.log(masked_exp(masked, legal).sum(axis=-1, keepdims=True))
+    return masked

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import Adam, PolicyValueNet, masked_log_softmax
+from .mlp import Adam, PolicyValueNet, masked_exp, masked_log_softmax
 
 
 @dataclass
@@ -41,7 +41,7 @@ def ppo_loss_and_grads(
     B = len(batch.actions)
     logits, values, cache = net.forward(batch.obs)
     logp_all = masked_log_softmax(logits, batch.legal)
-    p_all = np.exp(logp_all)
+    p_all = masked_exp(logp_all, batch.legal)
     rows = np.arange(B)
     logp = logp_all[rows, batch.actions]
     ratio = np.exp(logp - batch.old_logp)
@@ -95,13 +95,17 @@ class PPOTrainer:
         self.opt = Adam(self.net.params, lr=self.lr)
         self._rng = np.random.default_rng(self.seed)
 
-    def action_logp(self, obs: np.ndarray, legal: np.ndarray):
-        """Sample actions for a batch of states; returns (actions, logp, values)."""
+    def action_logp(self, obs: np.ndarray, legal: np.ndarray, u: np.ndarray):
+        """Sample one action per state by inverse CDF from the uniforms ``u``
+        (one per state, in [0, 1)): the same draw, from the same uniform,
+        as ``Generator.choice(A, p=row)``. Returns (actions, logp, values)."""
         logits, values, _ = self.net.forward(obs)
         logp_all = masked_log_softmax(logits, legal)
-        p = np.exp(logp_all)
-        p = p / p.sum(axis=1, keepdims=True)
-        actions = np.array([self._rng.choice(len(row), p=row) for row in p])
+        p = masked_exp(logp_all, legal)
+        p /= p.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(p, axis=1)
+        cdf /= cdf[:, -1:]
+        actions = (cdf <= u[:, None]).sum(axis=1)
         return actions, logp_all[np.arange(len(actions)), actions], values
 
     def update(self, batch: Batch) -> float:

@@ -95,6 +95,46 @@ def test_adam_reduces_quadratic():
     assert np.abs(params["w"]).max() < 0.05
 
 
+def test_adam_in_place_matches_formula():
+    """The in-place step gives the textbook formula's parameters to the bit."""
+    g = np.random.default_rng(4)
+    shapes = {"W": (7, 5), "b": (5,)}
+    params = {k: g.standard_normal(s) for k, s in shapes.items()}
+    ref = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt, lr, b1, b2, eps = Adam(params, lr=3e-3), 3e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 61):
+        grads = {k: g.standard_normal(s) * 10.0 ** g.integers(-3, 3) for k, s in shapes.items()}
+        opt.step(params, grads)
+        for k, gk in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * gk
+            v[k] = b2 * v[k] + (1 - b2) * gk * gk
+            ref[k] -= lr * (m[k] / (1 - b1**t)) / (np.sqrt(v[k] / (1 - b2**t)) + eps)
+        for k in shapes:
+            assert np.array_equal(params[k], ref[k]), (t, k)
+
+
+def test_inverse_cdf_draw_matches_choice():
+    """``action_logp`` draws what ``Generator.choice(A, p=row)`` draws for
+    each of 200 random distributions, and the generator that gave the
+    uniforms ends in the state ``choice`` leaves it in."""
+    g = np.random.default_rng(5)
+    net = PolicyValueNet(6, 9, hidden=16, seed=5)
+    net.params["Wp"] *= 300.0  # from near-uniform to peaked policies
+    tr = PPOTrainer(net, seed=0)
+    obs = g.standard_normal((200, 6)) * 3.0
+    legal = g.random((200, 9)) > 0.5
+    legal[np.arange(200), g.integers(0, 9, 200)] = True
+    p = np.exp(masked_log_softmax(net.forward(obs)[0], legal))
+    p = p / p.sum(axis=1, keepdims=True)
+    ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+    actions, _, _ = tr.action_logp(obs, legal, ours.random(200))
+    assert actions.tolist() == [int(theirs.choice(9, p=row)) for row in p]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert len(set(actions.tolist())) > 3 and legal[np.arange(200), actions].all()
+
+
 def test_action_logp_only_legal():
     net = PolicyValueNet(2, 5, hidden=8, seed=0)
     tr = PPOTrainer(net, seed=0)
@@ -102,7 +142,7 @@ def test_action_logp_only_legal():
     obs = g.standard_normal((50, 2))
     legal = np.zeros((50, 5), dtype=bool)
     legal[:, [1, 3]] = True
-    actions, logp, values = tr.action_logp(obs, legal)
+    actions, logp, values = tr.action_logp(obs, legal, g.random(len(obs)))
     assert set(actions.tolist()) <= {1, 3}
     assert np.isfinite(logp).all() and np.isfinite(values).all()
 
@@ -117,7 +157,7 @@ def test_ppo_learns_contextual_bandit():
     for _ in range(40):
         ctx = g.integers(0, 2, 128)
         obs = np.eye(2)[ctx]
-        actions, logp, values = tr.action_logp(obs, legal)
+        actions, logp, values = tr.action_logp(obs, legal, g.random(len(obs)))
         rewards = (actions == ctx).astype(float)  # arm i correct for ctx i
         tr.update(Batch(obs, actions, legal, logp, rewards, rewards - values))
     # evaluate greedily
@@ -134,7 +174,7 @@ def test_value_head_learns_returns():
     for _ in range(60):
         ctx = g.integers(0, 2, 256)
         obs = np.eye(2)[ctx]
-        actions, logp, values = tr.action_logp(obs, legal)
+        actions, logp, values = tr.action_logp(obs, legal, g.random(len(obs)))
         returns = np.where(ctx == 0, 0.2, 0.8)
         tr.update(Batch(obs, actions, legal, logp, returns, returns - values))
     _, v, _ = net.forward(np.eye(2))
