@@ -213,10 +213,13 @@ def woodblock_qdtree(
 
     best_root, best_frac = None, np.inf
     history = []
+    # episode e samples from its own stream, so that what it draws does not
+    # depend on which episodes are grown beside it
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
     pend: list[Episode] = []  # episodes since the last PPO update
     for ep in range(cfg.episodes):
         e = _episode(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
-                     trainer._rng)
+                     np.random.default_rng(streams[ep]))
         if e.fraction < best_frac:
             best_frac, best_root = e.fraction, e.root
         history.append((ep, e.fraction, best_frac))

@@ -101,15 +101,15 @@ _PINNED = {
     "tpch": {
         "baseline": (348720, 200), "bottom-up": (260722, 27),
         "bottom-up+": (264071, 11), "greedy": (127162, 129),
-        "woodblock": (148293, 138),
+        "woodblock": (149055, 152),
     },
     "errlog-int": {
         "baseline": (95680, 150), "bottom-up": (135600, 2),
-        "bottom-up+": (7623, 16), "greedy": (1932, 33), "woodblock": (2727, 85),
+        "bottom-up+": (7623, 16), "greedy": (1932, 33), "woodblock": (2879, 88),
     },
     "errlog-ext": {
         "baseline": (50600, 150), "bottom-up": (150000, 1),
-        "bottom-up+": (32846, 7), "greedy": (2946, 51), "woodblock": (2674, 95),
+        "bottom-up+": (32846, 7), "greedy": (2946, 51), "woodblock": (2451, 98),
     },
 }
 
@@ -130,9 +130,9 @@ def test_table2_pinned(name, results, request):
 # Blocks routed summed over the workload, per tree approach, on the unfrozen
 # trees: the cut-derived leaf descriptions that query routing reads.
 _PINNED_QUERY_BIDS = {
-    "tpch": {"greedy": 1613, "woodblock": 2292},
-    "errlog-int": {"greedy": 27, "woodblock": 60},
-    "errlog-ext": {"greedy": 49, "woodblock": 84},
+    "tpch": {"greedy": 1613, "woodblock": 2410},
+    "errlog-int": {"greedy": 27, "woodblock": 55},
+    "errlog-ext": {"greedy": 49, "woodblock": 100},
 }
 
 
@@ -156,11 +156,11 @@ def test_query_bids_pinned(name, bundle, results, request):
 # approach: pins exactly which blocks each query is routed to.
 _PINNED_ROUTES = {
     "tpch": {"greedy": "d9d368394fae08b8ad2e89245899bae912398922",
-             "woodblock": "fa5675a1cc1f836622add25088b7afed556c1723"},
+             "woodblock": "a1c0cdc7d1af2e8fe83c567bccb7614083e97855"},
     "errlog-int": {"greedy": "18dae1be8586df17e368a4262ebef31d7db96898",
-                   "woodblock": "5b8227c5c75feb53051823666a79c82db197855d"},
+                   "woodblock": "6ec9af15aafcd18b9e44942b6fd23c3f6acae841"},
     "errlog-ext": {"greedy": "acaf23a496c6d2483672ff5402416cb83bc27f14",
-                   "woodblock": "d9767065b8c184e5ee5a5e575a0a4f1c7b03f2b2"},
+                   "woodblock": "6766ea776abb8cc2d90f91a427993aa39e93427f"},
 }
 
 

@@ -148,11 +148,11 @@ def test_runs_on_tpch_with_acs(tpch_bundle):
 # history of test_runs_on_tpch_with_acs's run: pins the policy's RNG draw
 # order and every episode's tree, through its sample access fraction
 _PINNED_HISTORY = [
-    (0, 0.7306777777777778, 0.7306777777777778),
-    (1, 0.7078444444444445, 0.7078444444444445),
-    (2, 0.6951444444444445, 0.6951444444444445),
-    (3, 0.6853555555555556, 0.6853555555555556),
-    (4, 0.7427444444444444, 0.6853555555555556),
+    (0, 0.7069444444444445, 0.7069444444444445),
+    (1, 0.7301888888888889, 0.7069444444444445),
+    (2, 0.738, 0.7069444444444445),
+    (3, 0.6750555555555555, 0.6750555555555555),
+    (4, 0.6589444444444444, 0.6589444444444444),
 ]
 
 
@@ -172,14 +172,14 @@ def test_history_pinned(tpch_bundle):
 # query's BID list (JSON, workload order).
 _PINNED_CAPPED = (
     [
-        (0, 0.7944555555555556, 0.7944555555555556),
-        (1, 0.6915666666666667, 0.6915666666666667),
-        (2, 0.7775666666666666, 0.6915666666666667),
-        (3, 0.7379, 0.6915666666666667),
-        (4, 0.6925666666666667, 0.6915666666666667),
+        (0, 0.7922222222222223, 0.7922222222222223),
+        (1, 0.7865333333333333, 0.7865333333333333),
+        (2, 0.7855444444444445, 0.7855444444444445),
+        (3, 0.7448888888888889, 0.7448888888888889),
+        (4, 0.6802222222222222, 0.6802222222222222),
     ],
     20,
-    "113508058f40d12e8982456c6d3e458ec560f8c4",
+    "2dba51664b9f961e7b21d707b8e0a68217029743",
 )
 
 
