@@ -3,8 +3,9 @@
 Greedy and WOODBLOCK (Sec 5) run the same process: a node is described by
 its semantic description (a one-row :class:`~.intersect.Blocks`), an
 action is a cut, and applying the cut yields the two children. :func:`grow`
-is that process, coded once. It expands the tree one breadth-first level
-at a time and hands a *chooser* the level's nodes that have a legal cut
+is that process, coded once. It expands one tree, or several trees
+together (WOODBLOCK's episodes of one policy), one breadth-first level at
+a time and hands a *chooser* the level's nodes that have a legal cut
 (:class:`Level`); the chooser returns each one's cut, or ``-1`` to make it
 a leaf. :func:`legal_cuts` is the one rule for which cuts a chooser may
 pick. Greedy's chooser takes the legal cut maximising the increase in
@@ -87,10 +88,11 @@ def legal_cuts(counts: np.ndarray, n, b: int, relaxed: bool = False) -> np.ndarr
 
 @dataclass
 class Level:
-    """The nodes of one breadth-first level that have a legal cut, in
-    breadth-first order."""
+    """The nodes of one breadth-first level that have a legal cut, over
+    every tree grown: by tree, and in breadth-first order within a tree."""
 
     nodes: list  # TreeNode
+    tree: np.ndarray  # (nodes,): the tree of each node, ascending
     desc: Blocks  # their descriptions, one row each
     idx: list  # their rows, as indices into the cut matrix
     counts: np.ndarray  # (nodes, cuts): rows on the left of each cut
@@ -98,37 +100,42 @@ class Level:
     n_active: np.ndarray  # (nodes,): queries each node intersects
     boxes: np.ndarray  # ascending boxes the level's parents intersect, a
     #                    superset of every node's own
-    n_open: int  # leaves before this level plus the level's size
+    n_open: np.ndarray  # (trees,): per tree, its leaves before this level
+    #                     plus its nodes in the level
 
 
 def grow(
     cm: CutMatrix,
-    root_desc: Blocks,
+    roots: Blocks,
     wl: Workload,
     b: int,
     relaxed: bool,
     choose: Callable[[Level], np.ndarray],
-) -> tuple[TreeNode, list[tuple[TreeNode, int]]]:
-    """Build a tree over the rows of ``cm`` from the one-row ``root_desc``,
-    one breadth-first level at a time.
+) -> tuple[list[TreeNode], list[list[tuple[TreeNode, int]]]]:
+    """Build one tree over the rows of ``cm`` from each row of ``roots``,
+    all together, one breadth-first level at a time.
 
     ``wl`` is the workload compiled with ``cm``'s cuts; ``b`` and
     ``relaxed`` are :func:`legal_cuts`'s. ``choose(level)`` returns, per
     node of ``level``, the index of the cut to apply, or ``-1`` to make
     the node a leaf; a node with no legal cut is a leaf without asking.
-    Returns the root and the leaves as ``(node, n_active_queries)``, in
-    breadth-first order; every node's ``n_rows`` is set. ``b < 1`` raises:
-    it would admit a cut with an empty child.
+    A tree's nodes depend only on its own choices, so growing trees
+    together gives each the tree it would get alone. Returns the roots and,
+    per tree, its leaves as ``(node, n_active_queries)`` in breadth-first
+    order; every node's ``n_rows`` is set. ``b < 1`` raises: it would admit
+    a cut with an empty child.
     """
     if b < 1:
         raise ValueError("min block size must be >= 1")
     fit = b + 1 if relaxed else 2 * b  # the fewest rows a legal cut can split
-    n_cuts = len(cm.cuts)
-    root = TreeNode(root_desc, n_rows=len(cm.masks))
-    nodes, desc, idx = [root], root_desc, [np.arange(len(cm.masks))]
-    counts = [cm.left_counts(idx[0]) if len(idx[0]) >= fit else None]
+    n_cuts, n_trees = len(cm.cuts), len(roots)
+    every = np.arange(len(cm.masks))
+    top = cm.left_counts(every) if len(every) >= fit else None  # shared by the roots
+    nodes = [TreeNode(roots[t:t + 1], n_rows=len(every)) for t in range(n_trees)]
+    out, tree, desc = list(nodes), np.arange(n_trees), roots
+    idx, counts = [every] * n_trees, [top] * n_trees
     boxes = np.arange(wl.box_atoms.shape[1])
-    leaves: list[tuple[TreeNode, int]] = []
+    leaves: list[list[tuple[TreeNode, int]]] = [[] for _ in range(n_trees)]
     while nodes:
         held = wl.box_truth(desc, boxes)
         n_active = wl.n_active(held, boxes)
@@ -139,12 +146,14 @@ def grow(
         cand, cnt, ok = np.array(cand, dtype=np.int64)[has], cnt[has], ok[has]
         cis = np.full(len(nodes), -1)
         if len(cand):
+            n_open = np.array([len(lv) for lv in leaves]) + np.bincount(tree, minlength=n_trees)
             cis[cand] = choose(Level(
-                [nodes[i] for i in cand], desc[cand], [idx[i] for i in cand], cnt, ok,
-                n_active[cand], boxes, len(leaves) + len(nodes),
+                [nodes[i] for i in cand], tree[cand], desc[cand], [idx[i] for i in cand],
+                cnt, ok, n_active[cand], boxes, n_open,
             ))
         split = np.flatnonzero(cis >= 0)
-        leaves += [(nodes[i], int(n_active[i])) for i in np.flatnonzero(cis < 0)]
+        for i in np.flatnonzero(cis < 0):
+            leaves[tree[i]].append((nodes[i], int(n_active[i])))
         if not len(split):
             break
         # both children of every split, left then right, in one restrict
@@ -169,9 +178,10 @@ def grow(
                 next_nodes.append(node)
                 next_idx.append(pair[side])
                 next_counts.append(got[side] if sizes[side] >= fit else None)
-        nodes, desc, idx, counts = next_nodes, kids, next_idx, next_counts
+        nodes, tree, desc = next_nodes, np.repeat(tree[split], 2), kids
+        idx, counts = next_idx, next_counts
         boxes = boxes[held[split].any(axis=0)]
-    return root, leaves
+    return out, leaves
 
 
 def greedy_qdtree(
@@ -210,5 +220,5 @@ def greedy_qdtree(
                 out[k] = ci[best]
         return out
 
-    root, _ = grow(cm, root, wl, b, relaxed, choose)
+    (root,), _ = grow(cm, root, wl, b, relaxed, choose)
     return QdTree.build(root, schema)

@@ -16,16 +16,19 @@ Tree-structured MDP exactly as the paper defines it:
 
 Each episode builds a whole tree with :func:`repro.core.greedy.grow`, the
 construction loop Greedy also uses; WOODBLOCK only supplies the chooser.
-``grow`` hands it one breadth-first level at a time; the chooser
-featurises the level's splittable nodes, runs one policy forward over
-them, samples one cut per node in breadth-first order (the order a
-node-at-a-time loop would draw in, so a seed gives the same trees) and
-records the transitions. The cut matrix and the compiled workload
+The policy is fixed between two PPO updates, so the ``BATCH_EPISODES``
+episodes of one update are grown together, as one forest (:func:`_episodes`):
+``grow`` hands the chooser one breadth-first level of every tree at a
+time; the chooser featurises the level's splittable nodes, runs one policy
+forward over them and samples one cut per node by inverse CDF. Episode
+``e`` draws from its own generator, spawned from the seed, and its nodes
+draw in breadth-first order, so an episode's tree does not depend on the
+episodes grown beside it. The cut matrix and the compiled workload
 (:mod:`.intersect`) are built once per call and shared by every episode.
 PPO updates the shared policy/value net after every ``BATCH_EPISODES``
-episodes and after the last one; the best tree seen —
-measured by the sample's description-based access fraction — is deployed
-(paper: "the best tree found is deployed").
+episodes and after the last one, on their transitions in episode order;
+the best tree seen — measured by the sample's description-based access
+fraction — is deployed (paper: "the best tree found is deployed").
 """
 from __future__ import annotations
 
@@ -123,7 +126,7 @@ class Episode:
     rewards: np.ndarray  # (steps,)
 
 
-def _episode(
+def _episodes(
     trainer: PPOTrainer,
     feat: Featurizer,
     cm: CutMatrix,
@@ -131,50 +134,65 @@ def _episode(
     wl: Workload,
     b_sample: int,
     max_leaves: int,
-    rng: np.random.Generator | None,
-) -> Episode:
-    """Build one tree from the current policy: sampled with uniforms from
-    ``rng``, or the argmax when ``rng`` is None."""
-    levels = []  # per level: (obs, actions, legal, logp, values, nodes)
+    rngs: Sequence[np.random.Generator] | None,
+) -> list[Episode]:
+    """Build one tree per generator of ``rngs`` from the current policy,
+    all together, one breadth-first level at a time; or, when ``rngs`` is
+    None, the one tree of the policy's argmax. Every node draws its
+    uniform from its own episode's generator, in breadth-first order, so
+    an episode is the same whichever episodes are grown beside it."""
+    n_trees = 1 if rngs is None else len(rngs)
+    levels = []  # per level: (tree, obs, actions, legal, logp, values, nodes)
 
     def choose(lv: Level) -> np.ndarray:
         """Sample (or take the argmax of) the policy on the level's nodes in
         one forward. Each split adds one open leaf, so ``max_leaves`` admits
-        the first ``max_leaves − n_open`` nodes; the rest become leaves."""
+        the first ``max_leaves − n_open`` nodes of each tree; the rest
+        become leaves."""
         out = np.full(len(lv.nodes), -1)
-        k = max(0, min(len(lv.nodes), max_leaves - lv.n_open))
-        if not k:
+        rank = np.arange(len(lv.tree)) - np.searchsorted(lv.tree, lv.tree)
+        sel = np.flatnonzero(rank < max_leaves - lv.n_open[lv.tree])
+        if not len(sel):
             return out
-        obs, legal = feat(lv.desc[:k]), lv.legal[:k]
-        if rng is None:
+        tree, obs, legal = lv.tree[sel], feat(lv.desc[sel]), lv.legal[sel]
+        if rngs is None:
             logits, values, _ = trainer.net.forward(obs)
-            ci, logp = np.where(legal, logits, -np.inf).argmax(axis=1), np.zeros(k)
+            ci, logp = np.where(legal, logits, -np.inf).argmax(axis=1), np.zeros(len(sel))
         else:
-            ci, logp, values = trainer.action_logp(obs, legal, rng.random(k))
-        levels.append((obs, ci, legal, logp, values, lv.nodes[:k]))
-        out[:k] = ci
+            trees, k = np.unique(tree, return_counts=True)
+            u = np.concatenate([rngs[t].random(kt) for t, kt in zip(trees, k)])
+            ci, logp, values = trainer.action_logp(obs, legal, u)
+        levels.append((tree, obs, ci, legal, logp, values, [lv.nodes[j] for j in sel]))
+        out[sel] = ci
         return out
 
-    root, leaves = grow(cm, root_desc, wl, b_sample, False, choose)
-    w = wl.n_queries
-    accessed = sum(node.n_rows * nact for node, nact in leaves)
-    fraction = accessed / (root.n_rows * w) if w else 0.0
+    roots, leaves = grow(cm, root_desc[np.zeros(n_trees, dtype=np.int64)], wl, b_sample,
+                         False, choose)
+    w, n = wl.n_queries, len(cm.masks)
+    fractions = [sum(node.n_rows * nact for node, nact in lvs) / (n * w) if w else 0.0
+                 for lvs in leaves]
 
     # S(n): skipped records below each node (Sec 5.2.2), bottom-up; the
     # levels are in breadth-first order, so children come after parents
     nodes = [node for *_, lv_nodes in levels for node in lv_nodes]
-    skipped = {id(node): node.n_rows * (w - nact) for node, nact in leaves}
+    skipped = {id(node): node.n_rows * (w - nact) for lvs in leaves for node, nact in lvs}
     for node in reversed(nodes):
         skipped[id(node)] = skipped[id(node.left)] + skipped[id(node.right)]
     rewards = np.array([
         skipped[id(node)] / (w * node.n_rows) if w and node.n_rows else 0.0
         for node in nodes
     ], dtype=np.float64)
-    if not levels:  # the root has no legal cut
-        levels = [(np.zeros((0, feat.dim)), np.zeros(0, dtype=np.int64),
-                   np.zeros((0, len(cm.cuts)), dtype=bool), np.zeros(0), np.zeros(0), [])]
-    cols = (np.concatenate(c) for c in list(zip(*levels))[:5])
-    return Episode(root, fraction, *cols, rewards)
+    if not levels:  # no root has a legal cut
+        none = np.zeros(0, dtype=np.int64)
+        levels = [(none, np.zeros((0, feat.dim)), none, np.zeros((0, len(cm.cuts)), dtype=bool),
+                   np.zeros(0), np.zeros(0), [])]
+    # episode by episode, each in breadth-first order
+    tree, *cols = (np.concatenate(c) for c in list(zip(*levels))[:6])
+    order = np.argsort(tree, kind="stable")
+    ends = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
+    per_episode = [np.split(c[order], ends) for c in (*cols, rewards)]
+    return [Episode(root, frac, *parts)
+            for root, frac, *parts in zip(roots, fractions, *per_episode)]
 
 
 def _batch(episodes: list[Episode]) -> Batch:
@@ -216,22 +234,21 @@ def woodblock_qdtree(
     # episode e samples from its own stream, so that what it draws does not
     # depend on which episodes are grown beside it
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.episodes)
-    pend: list[Episode] = []  # episodes since the last PPO update
-    for ep in range(cfg.episodes):
-        e = _episode(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
-                     np.random.default_rng(streams[ep]))
-        if e.fraction < best_frac:
-            best_frac, best_root = e.fraction, e.root
-        history.append((ep, e.fraction, best_frac))
-        pend.append(e)
-        if (ep + 1) % BATCH_EPISODES == 0 or ep == cfg.episodes - 1:
-            if sum(len(p.actions) for p in pend):
-                trainer.update(_batch(pend))
-            pend = []
+    for start in range(0, cfg.episodes, BATCH_EPISODES):
+        batch = _episodes(
+            trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves,
+            [np.random.default_rng(s) for s in streams[start:start + BATCH_EPISODES]],
+        )
+        for ep, e in enumerate(batch, start):
+            if e.fraction < best_frac:
+                best_frac, best_root = e.fraction, e.root
+            history.append((ep, e.fraction, best_frac))
+        if sum(len(e.actions) for e in batch):
+            trainer.update(_batch(batch))
 
     # deterministic deployment rollout: the argmax-policy tree is a strong
     # candidate once the policy has concentrated
-    e = _episode(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves, None)
+    [e] = _episodes(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves, None)
     if e.fraction < best_frac:
         best_frac, best_root = e.fraction, e.root
     history.append((cfg.episodes, e.fraction, best_frac))

@@ -148,12 +148,14 @@ def test_leaf_n_rows_match_leaf_sizes(tpch_bundle, tpch_tree):
 def test_level_counts_match_direct_gather(bundle, build, request, monkeypatch):
     """Every node ``grow`` hands a chooser carries the cut counts and the
     legality that one gather of its own rows gives, although ``grow``
-    gathers only the smaller child of each split and subtracts."""
+    gathers only the smaller child of each split and subtracts. WOODBLOCK
+    grows its episodes together, so one of its levels holds nodes of
+    several trees."""
     bd = request.getfixturevalue(bundle)
     W = asts(bd.queries)
-    grow, seen = greedy.grow, []
+    grow, seen, trees = greedy.grow, [], []
 
-    def recording_grow(cm, root, wl, b, relaxed, choose):
+    def recording_grow(cm, roots, wl, b, relaxed, choose):
         def check(lv):
             for node, rows, counts, legal in zip(lv.nodes, lv.idx, lv.counts, lv.legal):
                 direct = cm.left_counts(rows)
@@ -164,9 +166,10 @@ def test_level_counts_match_direct_gather(bundle, build, request, monkeypatch):
                 assert np.array_equal(legal, (large >= b) & (small >= 1) if relaxed
                                       else small >= b)
             seen.append(len(lv.nodes))
+            trees.append(len(set(lv.tree.tolist())))
             return choose(lv)
 
-        return grow(cm, root, wl, b, relaxed, check)
+        return grow(cm, roots, wl, b, relaxed, check)
 
     monkeypatch.setattr(greedy, "grow", recording_grow)
     monkeypatch.setattr(woodblock, "grow", recording_grow)
@@ -176,3 +179,4 @@ def test_level_counts_match_direct_gather(bundle, build, request, monkeypatch):
     else:
         greedy_qdtree(*args, ac_names=bd.ac_names, relaxed=build == "relaxed")
     assert len(seen) > 3 and max(seen) > 1  # several levels, some of several nodes
+    assert max(trees) == (2 if build == "woodblock" else 1)

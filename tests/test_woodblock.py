@@ -8,11 +8,23 @@ import pytest
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
-from repro.core.intersect import Space
 from repro.core.predicates import Or, Pred
 from repro.core.schema import CATEGORICAL, DATE, NUMERIC, ColumnSpec, TableSchema
-from repro.core.woodblock import Featurizer, WoodblockConfig, woodblock_qdtree
+from repro.core.greedy import CutMatrix
+from repro.core.intersect import Blocks, Space, compile_workload
+from repro.core.woodblock import (
+    BATCH_EPISODES,
+    ENT_COEF,
+    LR,
+    Featurizer,
+    WoodblockConfig,
+    _batch,
+    _episodes,
+    woodblock_qdtree,
+)
 from repro.experiments.table2 import make_bundle
+from repro.rl.mlp import PolicyValueNet
+from repro.rl.ppo import PPOTrainer
 from repro.workloads import asts
 
 from .reference import Description, Interval, blocks_of
@@ -221,3 +233,83 @@ def test_trailing_episodes_reach_ppo(fig3, monkeypatch):
     woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
                      config=WoodblockConfig(episodes=5, seed=0))
     assert len(sizes) == 2
+
+
+def _setup(bd, seed=0):
+    """WOODBLOCK's inputs on a whole test bundle, as woodblock_qdtree sets
+    them up: (trainer, featurizer, cut matrix, root, compiled workload)."""
+    W = asts(bd.queries)
+    cm = CutMatrix.build(extract_cuts(W), bd.encoded)
+    root = Blocks.root(bd.schema, bd.ac_names)
+    feat = Featurizer(bd.schema, bd.ac_names)
+    net = PolicyValueNet(feat.dim, len(cm.cuts), seed=seed)
+    trainer = PPOTrainer(net, lr=LR, ent_coef=ENT_COEF, seed=seed)
+    return trainer, feat, cm, root, compile_workload(W, root.space, cm.cuts)
+
+
+def _shape(root):
+    """The tree in preorder, as (cut, rows) per node."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append((repr(node.cut), node.n_rows))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return out
+
+
+def _assert_same(got, want):
+    """Equal episodes. The policy's outputs may differ in the last bits:
+    BLAS rounds a row of a matrix product differently in batches of
+    different shapes."""
+    assert got.fraction == want.fraction
+    for name in ("obs", "actions", "legal", "rewards"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("logp", "values"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15)
+    assert _shape(got.root) == _shape(want.root)
+
+
+def _streams(n, seed=0):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+
+
+@pytest.mark.parametrize("bundle, max_leaves", [
+    ("tpch_bundle", 4096), ("errlog_int_bundle", 4096), ("errlog_ext_bundle", 4096),
+    ("tpch_bundle", 20),
+])
+def test_episodes_together_equal_one_at_a_time(bundle, max_leaves, request):
+    """Episodes grown as one forest, each on its own stream, are the
+    episodes grown alone on the same streams: transitions, rewards,
+    fractions and trees. At 20 leaves the cap binds."""
+    bd = request.getfixturevalue(bundle)
+    trainer, feat, cm, root, wl = _setup(bd)
+    args = (trainer, feat, cm, root, wl, bd.b, max_leaves)
+    together = _episodes(*args, _streams(BATCH_EPISODES))
+    alone = [_episodes(*args, [g])[0] for g in _streams(BATCH_EPISODES)]
+    assert len(together) == BATCH_EPISODES
+    for got, want in zip(together, alone):
+        _assert_same(got, want)
+    leaves = [len(_shape(e.root)) - len(e.actions) for e in together]
+    assert min(len(e.actions) for e in together) > 3
+    if max_leaves < 4096:
+        assert max(leaves) == max_leaves
+    assert len({tuple(e.actions) for e in together}) > 1  # the streams differ
+
+
+def test_training_equals_episodes_one_at_a_time(tpch_bundle):
+    """woodblock_qdtree's history equals a loop that grows every episode
+    alone and updates PPO after each batch, over a trailing partial batch."""
+    bd, episodes = tpch_bundle, BATCH_EPISODES + 2
+    W = asts(bd.queries)
+    res = woodblock_qdtree(bd.encoded, bd.schema, extract_cuts(W), W, bd.b,
+                           ac_names=bd.ac_names, config=WoodblockConfig(episodes=episodes))
+    trainer, feat, cm, root, wl = _setup(bd)
+    args = (trainer, feat, cm, root, wl, bd.b, 4096)
+    streams, fractions = _streams(episodes), []
+    for start in range(0, episodes, BATCH_EPISODES):
+        batch = [_episodes(*args, [g])[0] for g in streams[start:start + BATCH_EPISODES]]
+        fractions += [e.fraction for e in batch]
+        trainer.update(_batch(batch))
+    fractions.append(_episodes(*args, None)[0].fraction)
+    assert [h[1] for h in res.history] == fractions
