@@ -41,7 +41,7 @@ import numpy as np
 import pandas as pd
 
 from ..core.greedy import CutMatrix
-from ..core.intersect import Blocks, Space, compile_workload
+from ..core.intersect import Blocks, Space, cut_sides
 from ..core.predicates import AdvPred, Node, atoms
 from ..core.schema import TableSchema
 
@@ -56,7 +56,7 @@ def subsumption(schema: TableSchema, cuts: Sequence, workload: Sequence[Node]) -
     acs = dict.fromkeys(a.name for q in (*cuts, *workload) for a in atoms(q)
                         if isinstance(a, AdvPred))
     space = Space.of(schema, tuple(acs))
-    feats, base = compile_workload((), space, cuts).sides[:len(cuts)], Blocks.full(space)
+    feats, base = cut_sides(cuts, space)[:len(cuts)], Blocks.full(space)
     return feats.contains(workload, base), feats.contains(cuts, base)
 
 

@@ -37,7 +37,7 @@ interval that admits either conjunct alone. The test is sound: it may
 keep a block with no matching row, never prune one that holds one.
 
 The compiled workload also carries both sides of every candidate cut
-(:func:`_cut_effects`, as bounds and kept bits, ``Workload.sides``), so
+(:func:`cut_sides`, as bounds and kept bits, ``Workload.sides``), so
 tree construction restricts a whole level's children in one batch, and
 Greedy gets the active-query counts of both children of every legal cut
 of a level in one call (:meth:`Workload.split_counts`): the children
@@ -187,17 +187,26 @@ class Workload:
     box_query: np.ndarray  # (boxes, queries) float32: box of query
     box_q: np.ndarray  # (boxes,) query of each box, ascending
     atoms: tuple  # the leaf predicates, in atom order
-    sides: Blocks  # row c: where cut c holds; row n_cuts + c: where it does not
+    sides: Blocks | None  # row c: where cut c holds; row n_cuts + c: where it
+    #                       does not (None when compiled without cuts)
 
     # ------------------------------------------------------------- queries
     def truth(self, b: Blocks) -> np.ndarray:
-        """(blocks, atoms) bool: the walk's test of each atom on each block."""
-        lo, hi = b.lo[:, self.r_col], b.hi[:, self.r_col]
-        x = np.where(self.r_lo, lo, -hi)
-        rng = np.where(self.r_strict, x < self.r_val, x <= self.r_val) & ~(lo > hi)
-        cat = b.masks[:, self.c_rows].astype(np.float32) @ self.c_ind > 0
-        ac = np.where(self.a_neg, b.may_false[:, self.a_col], b.may_true[:, self.a_col])
-        return np.concatenate([rng, cat, ac], axis=1)
+        """(blocks, atoms) bool: the walk's test of each atom on each block;
+        an atom kind the workload lacks is not computed."""
+        out = np.empty((len(b), len(self.atoms)), dtype=bool)
+        n_rng, n_cat = len(self.r_col), self.c_ind.shape[1]
+        if n_rng:
+            lo, hi = b.lo[:, self.r_col], b.hi[:, self.r_col]
+            x = np.where(self.r_lo, lo, -hi)
+            out[:, :n_rng] = np.where(self.r_strict, x < self.r_val, x <= self.r_val) & ~(lo > hi)
+        if n_cat:
+            out[:, n_rng:n_rng + n_cat] = \
+                b.masks[:, self.c_rows].astype(np.float32) @ self.c_ind > 0
+        if len(self.a_col):
+            out[:, n_rng + n_cat:] = np.where(self.a_neg, b.may_false[:, self.a_col],
+                                              b.may_true[:, self.a_col])
+        return out
 
     def box_truth(self, b: Blocks, boxes=slice(None)) -> np.ndarray:
         """(blocks, boxes) bool: does every atom of the box hold?"""
@@ -214,7 +223,7 @@ class Workload:
         ``base`` restricted by the side of each atom where it holds, must
         be empty or inside the block field by field."""
         atom, box = np.nonzero(self.box_atoms)
-        sides = _cut_effects(self.atoms, self.space)[atom]
+        sides = cut_sides(self.atoms, self.space)[atom]
         reg = base[np.zeros(self.box_atoms.shape[1], dtype=np.int64)]
         np.maximum.at(reg.lo, box, sides.lo)
         np.minimum.at(reg.hi, box, sides.hi)
@@ -255,7 +264,7 @@ class Workload:
         return out[0], out[1]
 
 
-def _cut_effects(cuts: Sequence, space: Space) -> Blocks:
+def cut_sides(cuts: Sequence, space: Space) -> Blocks:
     """Both sides of every cut as rows of the bounds and bits each keeps,
     row c where cut c holds and row ``len(cuts) + c`` where it does not."""
     n = len(cuts)
@@ -315,13 +324,16 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
     r_strict = np.array([a.op in ("<", ">") for a in rng], dtype=bool)
     r_val = np.array([float(a.value) for a in rng], dtype=float)
     r_val[~r_lo] *= -1
-    c_ind = np.zeros((space.width, len(cat)), dtype=np.float32)
-    for a, k in cat.items():
+    reads = []  # per categorical atom, the mask positions of its values
+    for a in cat:
         off, card = space.cat[a.attr]
         vals = a.value if a.op == "in" else frozenset([a.value])
         # index as the walk does: a negative code counts from the end
-        c_ind[off + np.arange(card)[[int(v) for v in vals]], k] = 1.0
-    c_rows = np.flatnonzero(c_ind.any(axis=1))
+        reads.append(off + np.arange(card)[[int(v) for v in vals]])
+    c_rows = np.unique(np.concatenate(reads)) if reads else np.zeros(0, dtype=np.int64)
+    c_ind = np.zeros((len(c_rows), len(cat)), dtype=np.float32)
+    for k, pos in enumerate(reads):
+        c_ind[np.searchsorted(c_rows, pos), k] = 1.0
     base = (0, len(rng), len(rng) + len(cat))
     box_atoms = np.zeros((len(rng) + len(cat) + len(ac), len(boxes)), dtype=np.float32)
     box_query = np.zeros((len(boxes), len(queries)), dtype=np.float32)
@@ -329,9 +341,9 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
         box_atoms[[base[kind] + i for kind, i in box], k] = 1.0
         box_query[k, qi] = 1.0
     return Workload(
-        space, len(queries), r_col, r_lo, r_strict, r_val, c_rows, c_ind[c_rows],
+        space, len(queries), r_col, r_lo, r_strict, r_val, c_rows, c_ind,
         np.array([space.ac[a.name] for a in ac], dtype=np.int64),
         np.array([a.negated for a in ac], dtype=bool),
         box_atoms, box_query, np.array([qi for qi, _ in boxes], dtype=np.int64),
-        (*rng, *cat, *ac), _cut_effects(cuts, space),
+        (*rng, *cat, *ac), cut_sides(cuts, space) if len(cuts) else None,
     )
