@@ -43,7 +43,7 @@ from ..rl.ppo import Batch, PPOTrainer
 from .greedy import CutMatrix, Level, grow
 from .intersect import Blocks, Space, Workload, compile_workload
 from .predicates import Node as QueryNode
-from .qdtree import QdTree
+from .qdtree import QdTree, TreeNode
 from .schema import TableSchema
 
 
@@ -116,7 +116,7 @@ class Episode:
     """One tree built by the policy, and its transitions in breadth-first
     order as arrays, one row per chosen cut."""
 
-    root: object  # TreeNode
+    root: TreeNode
     fraction: float  # the tree's sample access fraction
     obs: np.ndarray  # (steps, dim)
     actions: np.ndarray  # (steps,)
