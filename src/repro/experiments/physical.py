@@ -13,7 +13,8 @@ the workload three ways —
 Each query runs as a count+sum aggregate (forces actual column reads).
 Reported per template: mean wall-clock and tuples resident in the scanned
 blocks (the logical I/O the paper's speedups track). A ``qdtree``-mode
-query that scans other than its routed blocks makes the run raise.
+query that scans other than its routed blocks, or other than one file per
+block, makes the run raise.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from pyspark.sql import functions as F
 
 from ..core.qdtree import QdTree, block_stats
 from ..spark_io.layout import (
-    blocks_scanned,
     read_routed,
+    scan_metrics,
     spark_df_from_raw,
     write_bid_layout,
     write_tree_layout,
@@ -94,9 +95,12 @@ def run_physical(
             agg.collect()
             per_template[q.template][mode].append(time.perf_counter() - t0)
             if router is not None:
-                scanned, routed = blocks_scanned(agg), len(router.query_bids(q.ast))
+                scan, routed = scan_metrics(agg), len(router.query_bids(q.ast))
+                scanned, files = scan["numPartitions"], scan["numFiles"]
                 if scanned != routed:
                     raise RuntimeError(f"{q.template}: scanned {scanned} blocks, routed {routed}")
+                if files != scanned:
+                    raise RuntimeError(f"{q.template}: scanned {files} files in {scanned} blocks")
 
     for q, rows in zip(queries, layout.accessed([q.ast for q in queries])):
         rows_routed[q.template] += int(rows)

@@ -5,7 +5,13 @@ This is the paper's execution story (Sec 3.1, 3.3, 7.1) on Spark:
 * **Write**: the dataset gains a ``bid`` column — for qd-tree layouts this
   is the tree's native Catalyst routing expression (one nested SQL ``CASE``;
   no UDFs), for baseline layouts a precomputed assignment — and is written
-  ``partitionBy("bid")`` so each block is its own Parquet directory.
+  ``repartition("bid")`` then ``partitionBy("bid")``, so each block is its
+  own Parquet directory holding exactly one file. Without the shuffle, each
+  write task opens a file in every ``bid=`` directory its rows reach (four
+  files per block on four cores, and a write slowed by thousands of open
+  files at the paper's block count). The hash shuffle puts all of a block's
+  rows in one shuffle partition, and adaptive execution coalesces only
+  whole partitions, so this holds at any partition count.
 * **Open**: :func:`open_layout` reads each layout path once per
   ``SparkSession`` and hands the same DataFrame to every later query, so
   Parquet schema inference and the ``bid=`` listing run once, not per query.
@@ -70,10 +76,11 @@ def write_tree_layout(
     raw_df: DataFrame, tree: QdTree, path: str
 ) -> None:
     """Route every row through the qd-tree (pure Catalyst expression) and
-    persist one Parquet partition per block."""
+    persist each block as one Parquet file in its ``bid=`` directory."""
     _OPEN.pop(os.path.abspath(path), None)
     (
         raw_df.withColumn("bid", tree.routing_column())
+        .repartition("bid")
         .write.mode("overwrite")
         .partitionBy("bid")
         .parquet(path)
@@ -87,10 +94,11 @@ def write_bid_layout(
     schema: TableSchema,
     path: str,
 ) -> None:
-    """Persist a baseline layout from a precomputed row→BID assignment."""
+    """Persist a layout from a precomputed row→BID assignment, one Parquet
+    file per block."""
     _OPEN.pop(os.path.abspath(path), None)
     df = spark_df_from_raw(spark, raw.assign(bid=bids), schema)
-    df.write.mode("overwrite").partitionBy("bid").parquet(path)
+    df.repartition("bid").write.mode("overwrite").partitionBy("bid").parquet(path)
 
 
 def routed_condition(query: Node, schema: TableSchema, tree: QdTree | Layout | None = None) -> str:
@@ -120,21 +128,30 @@ def read_routed(
     return open_layout(spark, path).filter(routed_condition(query, schema, tree))
 
 
-def blocks_scanned(df: DataFrame) -> int:
-    """``numPartitions`` summed over the Parquet scan nodes of ``df``'s
-    executed plan, through adaptive query stages: the ``bid=`` blocks read
-    after partition pruning. Read after the action ran. A plan folded to an
-    empty relation has no scan node and reads 0."""
+def scan_metrics(df: DataFrame) -> dict[str, int]:
+    """The Parquet scan nodes' metrics in ``df``'s executed plan, summed,
+    through adaptive query stages: ``numPartitions`` is the number of
+    ``bid=`` blocks read after partition pruning, ``numFiles`` the files
+    read, ``numOutputRows`` the rows and ``filesSize`` the bytes. Read after
+    the action ran. A plan folded to an empty relation has no scan node and
+    reads 0 of each."""
+    out = dict.fromkeys(("numPartitions", "numFiles", "numOutputRows", "filesSize"), 0)
 
-    def walk(plan) -> int:
+    def walk(plan) -> None:
         kind = plan.getClass().getSimpleName()
         if kind == "AdaptiveSparkPlanExec":
-            return walk(plan.executedPlan())
-        if kind.endswith("QueryStageExec"):
-            return walk(plan.plan())
-        if kind == "FileSourceScanExec":
-            return int(plan.metrics().apply("numPartitions").value())
-        kids = plan.children()
-        return sum(walk(kids.apply(i)) for i in range(kids.size()))
+            walk(plan.executedPlan())
+        elif kind.endswith("QueryStageExec"):
+            walk(plan.plan())
+        elif kind == "FileSourceScanExec":
+            metrics = plan.metrics()
+            for k in out:
+                if metrics.contains(k):  # no numPartitions without partition columns
+                    out[k] += int(metrics.apply(k).value())
+        else:
+            kids = plan.children()
+            for i in range(kids.size()):
+                walk(kids.apply(i))
 
-    return walk(df._jdf.queryExecution().executedPlan())
+    walk(df._jdf.queryExecution().executedPlan())
+    return out

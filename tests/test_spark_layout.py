@@ -1,10 +1,12 @@
 """Spark physical layout: Catalyst routing parity, partition pruning, and
 DuckDB-oracle correctness of query results over qd-tree layouts."""
 import functools
+from pathlib import Path
 
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
@@ -19,10 +21,10 @@ from repro.core.schema import infer_schema
 from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
 from repro.spark_io.layout import (
-    blocks_scanned,
     open_layout,
     read_routed,
     routed_condition,
+    scan_metrics,
     spark_df_from_raw,
     write_bid_layout,
     write_tree_layout,
@@ -116,12 +118,17 @@ def _chain_tree(schema, cuts) -> QdTree:
     return QdTree.build(root, schema)
 
 
+def _deep_chain(raw, sch) -> QdTree:
+    """A chain of depth 201 on ``l_extendedprice`` quantiles of ``raw``."""
+    edges = np.quantile(raw["l_extendedprice"], np.linspace(0.0, 1.0, 200))
+    return _chain_tree(sch, [Pred("l_extendedprice", "<=", float(v)) for v in edges])
+
+
 def test_spark_routing_deep_chain(spark, tpch_bundle):
     """A hand-built chain of depth 200 still parses and routes every row
     to the BID numpy routing gives."""
     raw, sch = tpch_bundle.raw.head(2000), tpch_bundle.schema
-    edges = np.quantile(raw["l_extendedprice"], np.linspace(0.0, 1.0, 200))
-    tree = _chain_tree(sch, [Pred("l_extendedprice", "<=", float(v)) for v in edges])
+    tree = _deep_chain(raw, sch)
     assert tree.depth == 201
     expected = tree.route(sch.encode(raw))
     assert len(np.unique(expected)) > 100
@@ -169,7 +176,8 @@ def test_empty_route_scans_nothing(spark, tpch_bundle, tpch_layout, written_tree
     assert_equivalent(agg, f"SELECT count(*) AS n FROM t WHERE {to_sql(q, sch)}",
                       t=tpch_bundle.raw)
     assert agg.collect()[0]["n"] == 0
-    assert blocks_scanned(agg) == 0
+    assert scan_metrics(agg) == dict.fromkeys(
+        ("numPartitions", "numFiles", "numOutputRows", "filesSize"), 0)
 
 
 def test_date_bounds_pushed_without_cast(spark, tpch_bundle, tpch_tree, written_tree_layout):
@@ -192,6 +200,32 @@ def test_layout_is_partitioned_by_bid(spark, written_tree_layout, tpch_tree):
 
     parts = [p for p in os.listdir(written_tree_layout) if p.startswith("bid=")]
     assert len(parts) == tpch_tree.n_leaves
+
+
+@pytest.mark.parametrize("write", ["tree", "bids", "deep_chain"])
+def test_one_parquet_file_per_block(request, spark, tpch_bundle, layout_dir, write):
+    """Each writer leaves exactly one Parquet file in every ``bid=``
+    directory, and the footers' row counts are the block sizes that numpy
+    routing (or the given BIDs) gives."""
+    raw, sch = tpch_bundle.raw, tpch_bundle.schema
+    if write == "tree":
+        path = request.getfixturevalue("written_tree_layout")
+        bids = request.getfixturevalue("tpch_tree").route(tpch_bundle.encoded)
+    elif write == "bids":
+        path = f"{layout_dir}/tpch_random_blocks"
+        bids = random_partition(len(raw), 500, seed=1)
+        write_bid_layout(spark, raw, bids, sch, path)
+    else:
+        raw = raw.head(2000)
+        tree, path = _deep_chain(raw, sch), f"{layout_dir}/deep_chain"
+        write_tree_layout(spark_df_from_raw(spark, raw, sch), tree, path)
+        bids = tree.route(sch.encode(raw))
+    rows = {}
+    for block in Path(path).glob("bid=*"):
+        files = list(block.glob("*.parquet"))
+        assert len(files) == 1, (block.name, len(files))
+        rows[int(block.name.removeprefix("bid="))] = pq.read_metadata(files[0]).num_rows
+    assert rows == {b: int(k) for b, k in enumerate(np.bincount(bids)) if k}
 
 
 def test_layout_preserves_row_count(spark, tpch_bundle, written_tree_layout):
@@ -244,7 +278,8 @@ def test_reused_layout_prunes_to_routed_blocks(spark, tpch_bundle, tpch_tree, wr
         routed = read_routed(spark, written_tree_layout, q, tpch_bundle.schema, tree=tpch_tree)
         agg = routed.agg(F.count(F.lit(1)))
         agg.collect()
-        assert blocks_scanned(agg) == len(tpch_tree.query_bids(q)), qi
+        scan = scan_metrics(agg)
+        assert scan["numPartitions"] == scan["numFiles"] == len(tpch_tree.query_bids(q)), qi
     assert open_layout(spark, written_tree_layout) is held
 
 
