@@ -7,11 +7,11 @@ This is the paper's execution story (Sec 3.1, 3.3, 7.1) on Spark:
   no UDFs), for baseline layouts a precomputed assignment — and is written
   ``repartition("bid")`` then ``partitionBy("bid")``, so each block is its
   own Parquet directory holding exactly one file. Without the shuffle, each
-  write task opens a file in every ``bid=`` directory its rows reach (four
-  files per block on four cores, and a write slowed by thousands of open
-  files at the paper's block count). The hash shuffle puts all of a block's
-  rows in one shuffle partition, and adaptive execution coalesces only
-  whole partitions, so this holds at any partition count.
+  write task opens a file in every ``bid=`` directory its rows reach, so a
+  block is split into as many files as input partitions hold its rows, and
+  writes and scans slow with the file count. The hash shuffle puts all of a
+  block's rows in one shuffle partition, and adaptive execution coalesces
+  only whole partitions, so this holds at any partition count.
 * **Open**: :func:`open_layout` reads each layout path once per
   ``SparkSession`` and hands the same DataFrame to every later query, so
   Parquet schema inference and the ``bid=`` listing run once, not per query.
