@@ -1,14 +1,15 @@
 """Qd-tree construction loop and Greedy (paper Algorithm 1, Sec 4).
 
 Greedy and WOODBLOCK (Sec 5) run the same process: a node is described by
-its semantic description (a one-row :class:`~.intersect.Blocks`), an
+its semantic description (a row of a :class:`~.intersect.Blocks`), an
 action is a cut, and applying the cut yields the two children. :func:`grow`
 is that process, coded once. It expands one tree, or several trees
 together (WOODBLOCK's episodes of one policy), one breadth-first level at
 a time and hands a *chooser* the level's nodes that have a legal cut
 (:class:`Level`); the chooser returns each one's cut, or ``-1`` to make it
-a leaf. :func:`legal_cuts` is the one rule for which cuts a chooser may
-pick. Greedy's chooser takes the legal cut maximising the increase in
+a leaf. Each tree comes back as arrays over its nodes in breadth-first
+order (:class:`Nodes`), the form :class:`~.qdtree.QdTree` holds.
+:func:`legal_cuts` is the one rule for which cuts a chooser may pick. Greedy's chooser takes the legal cut maximising the increase in
 skipped tuples ``C(T ⊕ (p, n)) − C(T)`` and stops at a leaf when no cut
 gives a strictly positive gain; WOODBLOCK's samples its policy.
 
@@ -33,7 +34,7 @@ analysed in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 import pandas as pd
@@ -41,7 +42,7 @@ import pandas as pd
 from .intersect import Blocks, Workload, compile_workload
 from .predicates import Node as QueryNode
 from .predicates import eval_masks
-from .qdtree import QdTree, TreeNode
+from .qdtree import QdTree
 from .schema import TableSchema
 
 
@@ -91,8 +92,8 @@ class Level:
     """The nodes of one breadth-first level that have a legal cut, over
     every tree grown: by tree, and in breadth-first order within a tree."""
 
-    nodes: list  # TreeNode
     tree: np.ndarray  # (nodes,): the tree of each node, ascending
+    n_rows: np.ndarray  # (nodes,): rows that reached each node
     desc: Blocks  # their descriptions, one row each
     idx: list  # their rows, as indices into the cut matrix
     counts: np.ndarray  # (nodes, cuts): rows on the left of each cut
@@ -104,6 +105,17 @@ class Level:
     #                     plus its nodes in the level
 
 
+class Nodes(NamedTuple):
+    """One grown tree's nodes in breadth-first order, as arrays (see
+    :class:`~.qdtree.QdTree`), with the queries each node intersects."""
+
+    cut: np.ndarray
+    left: np.ndarray
+    n_rows: np.ndarray
+    desc: Blocks
+    n_active: np.ndarray
+
+
 def grow(
     cm: CutMatrix,
     roots: Blocks,
@@ -111,7 +123,7 @@ def grow(
     b: int,
     relaxed: bool,
     choose: Callable[[Level], np.ndarray],
-) -> tuple[list[TreeNode], list[list[tuple[TreeNode, int]]]]:
+) -> list[Nodes]:
     """Build one tree over the rows of ``cm`` from each row of ``roots``,
     all together, one breadth-first level at a time.
 
@@ -120,10 +132,9 @@ def grow(
     node of ``level``, the index of the cut to apply, or ``-1`` to make
     the node a leaf; a node with no legal cut is a leaf without asking.
     A tree's nodes depend only on its own choices, so growing trees
-    together gives each the tree it would get alone. Returns the roots and,
-    per tree, its leaves as ``(node, n_active_queries)`` in breadth-first
-    order; every node's ``n_rows`` is set. ``b < 1`` raises: it would admit
-    a cut with an empty child.
+    together gives each the tree it would get alone. Returns each tree's
+    nodes; a split appends its two children together, left then right.
+    ``b < 1`` raises: it would admit a cut with an empty child.
     """
     if b < 1:
         raise ValueError("min block size must be >= 1")
@@ -131,39 +142,39 @@ def grow(
     n_cuts, n_trees = len(cm.cuts), len(roots)
     every = np.arange(len(cm.masks))
     top = cm.left_counts(every) if len(every) >= fit else None  # shared by the roots
-    nodes = [TreeNode(roots[t:t + 1], n_rows=len(every)) for t in range(n_trees)]
-    out, tree, desc = list(nodes), np.arange(n_trees), roots
+    tree, desc, n_rows = np.arange(n_trees), roots, np.full(n_trees, len(every))
     idx, counts = [every] * n_trees, [top] * n_trees
     boxes = np.arange(wl.box_atoms.shape[1])
-    leaves: list[list[tuple[TreeNode, int]]] = [[] for _ in range(n_trees)]
-    while nodes:
+    n_leaves = np.zeros(n_trees, dtype=np.int64)
+    levels = []  # per level: (tree, cut, n_rows, n_active, desc) of its nodes
+    while True:
         held = wl.box_truth(desc, boxes)
         n_active = wl.n_active(held, boxes)
         cand = [i for i, c in enumerate(counts) if c is not None]
         cnt = np.array([counts[i] for i in cand], dtype=np.int64).reshape(len(cand), n_cuts)
-        ok = legal_cuts(cnt, [nodes[i].n_rows for i in cand], b, relaxed)
+        ok = legal_cuts(cnt, n_rows[cand], b, relaxed)
         has = ok.any(axis=1)
         cand, cnt, ok = np.array(cand, dtype=np.int64)[has], cnt[has], ok[has]
-        cis = np.full(len(nodes), -1)
+        cis = np.full(len(tree), -1)
         if len(cand):
-            n_open = np.array([len(lv) for lv in leaves]) + np.bincount(tree, minlength=n_trees)
+            n_open = n_leaves + np.bincount(tree, minlength=n_trees)
             cis[cand] = choose(Level(
-                [nodes[i] for i in cand], tree[cand], desc[cand], [idx[i] for i in cand],
+                tree[cand], n_rows[cand], desc[cand], [idx[i] for i in cand],
                 cnt, ok, n_active[cand], boxes, n_open,
             ))
+        levels.append((tree, cis, n_rows, n_active, desc))
         split = np.flatnonzero(cis >= 0)
-        for i in np.flatnonzero(cis < 0):
-            leaves[tree[i]].append((nodes[i], int(n_active[i])))
         if not len(split):
             break
+        n_leaves += np.bincount(tree[cis < 0], minlength=n_trees)
         # both children of every split, left then right, in one restrict
         sides = np.stack([cis[split], cis[split] + n_cuts], axis=1).ravel()
-        kids = desc[np.repeat(split, 2)].restrict(wl.sides[sides])
-        next_nodes, next_idx, next_counts = [], [], []
-        for k, i in enumerate(split):
+        desc = desc[np.repeat(split, 2)].restrict(wl.sides[sides])
+        next_rows, next_idx, next_counts = [], [], []
+        for i in split:
             ci, rows = cis[i], idx[i]
             n_left = int(counts[i][ci])
-            sizes = (n_left, nodes[i].n_rows - n_left)
+            sizes = (n_left, int(n_rows[i]) - n_left)
             pair, got = [None, None], [None, None]
             if max(sizes) >= fit:  # a child may be split: it needs rows and counts
                 m = cm.masks[rows, ci]
@@ -173,15 +184,22 @@ def grow(
                 small = int(sizes[1] < sizes[0])
                 got[small] = cm.left_counts(pair[small])
                 got[1 - small] = counts[i] - got[small]
-            for side, node in enumerate(nodes[i].split(cm.cuts[ci], kids[2 * k:2 * k + 2])):
-                node.n_rows = sizes[side]
-                next_nodes.append(node)
-                next_idx.append(pair[side])
-                next_counts.append(got[side] if sizes[side] >= fit else None)
-        nodes, tree, desc = next_nodes, np.repeat(tree[split], 2), kids
+            next_rows += sizes
+            next_idx += pair
+            next_counts += [g if n >= fit else None for g, n in zip(got, sizes)]
+        tree, n_rows = np.repeat(tree[split], 2), np.array(next_rows, dtype=np.int64)
         idx, counts = next_idx, next_counts
         boxes = boxes[held[split].any(axis=0)]
-    return out, leaves
+
+    *cols, descs = zip(*levels)
+    tree, cut, n_rows, n_active = map(np.concatenate, cols)
+    desc, out = Blocks.stack(descs), []
+    for t in range(n_trees):  # a tree's k-th split has its children at 2k + 1, 2k + 2
+        sel = np.flatnonzero(tree == t)
+        left = np.full(len(sel), -1)
+        left[cut[sel] >= 0] = 1 + 2 * np.arange(np.count_nonzero(cut[sel] >= 0))
+        out.append(Nodes(cut[sel], left, n_rows[sel], desc[sel], n_active[sel]))
+    return out
 
 
 def greedy_qdtree(
@@ -209,16 +227,16 @@ def greedy_qdtree(
         every legal cut of the level is counted in one batch."""
         node, ci = np.nonzero(lv.legal)
         a_l, a_r = wl.split_counts(lv.desc[node], lv.boxes, ci)
-        n = np.array([nd.n_rows for nd in lv.nodes])[node]
+        n = lv.n_rows[node]
         nl = lv.counts[node, ci]
         gain = n * lv.n_active[node] - nl * a_l - (n - nl) * a_r
-        out = np.full(len(lv.nodes), -1)
-        bounds = np.flatnonzero(np.diff(node, prepend=-1, append=len(lv.nodes)))
+        out = np.full(len(lv.tree), -1)
+        bounds = np.flatnonzero(np.diff(node, prepend=-1, append=len(lv.tree)))
         for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
             best = s + int(np.argmax(gain[s:e]))
             if gain[best] > 0:
                 out[k] = ci[best]
         return out
 
-    (root,), _ = grow(cm, root, wl, b, relaxed, choose)
-    return QdTree.build(root, schema)
+    (t,) = grow(cm, root, wl, b, relaxed, choose)
+    return QdTree(schema, cm.cuts, t.cut, t.left, t.n_rows, t.desc)

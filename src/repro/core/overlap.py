@@ -96,8 +96,8 @@ def build_overlap_layout(
     bids = tree.route(encoded)
     leaves = tree.blocks
     regions = leaves[np.arange(len(leaves))]  # a copy, widened in place
-    rows = [np.flatnonzero(bids == lf.bid) for lf in tree.leaves]
-    sizes = np.array([len(r) for r in rows])
+    sizes = np.bincount(bids, minlength=tree.n_leaves)
+    rows = np.split(np.argsort(bids, kind="stable"), np.cumsum(sizes)[:-1])
     large = np.flatnonzero(sizes >= b)
     extra = 0
     for s in np.flatnonzero(sizes < b):
@@ -112,4 +112,4 @@ def build_overlap_layout(
         np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
         tree.schema, acs or {}, len(rows),
     )
-    return OverlapLayout(regions, rows, stats, extra, tree.root.desc)
+    return OverlapLayout(regions, rows, stats, extra, tree.desc[:1])

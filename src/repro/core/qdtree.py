@@ -1,11 +1,12 @@
 """The qd-tree data structure: routing data and routing queries (Sec 3).
 
-A :class:`QdTree` is a binary tree of :class:`TreeNode`. Internal nodes carry
-a cut (a :class:`~repro.core.predicates.Pred` or
+A :class:`QdTree` is a binary tree held as arrays over its nodes. Internal
+nodes carry a cut (a :class:`~repro.core.predicates.Pred` or
 :class:`~repro.core.predicates.AdvPred`); the left child satisfies the cut,
 the right child its negation. Leaves are blocks, numbered ``0..n_leaves-1``
 left-to-right — the block ID (BID) that the dataset is physically
-partitioned by.
+partitioned by. Nothing recurses, so a tree of any depth builds, routes in
+numpy and pickles.
 
 Data routing is exposed three ways:
 
@@ -18,18 +19,17 @@ Data routing is exposed three ways:
 * the same expression doubles as the partitioning *function* required by
   Problem 2 (new tuples route without reshuffling).
 
-Each node holds its semantic description as one row of a
-:class:`~.intersect.Blocks`; :meth:`TreeNode.split` takes the children's
-rows, which tree construction restricts a level at a time. Query routing
-(:meth:`QdTree.query_bids`) tests the query against the leaf rows, stacked
-once per tree in BID order, and returns the intersecting BIDs, which
-callers inject as ``bid IN (...)`` (Sec 3.3). The :class:`Layout` that :func:`block_stats`
+The node descriptions are the rows of one :class:`~.intersect.Blocks`,
+restricted a level at a time during construction. Query routing
+(:meth:`QdTree.query_bids`) tests the query against the leaf rows, in BID
+order, and returns the intersecting BIDs, which callers inject as
+``bid IN (...)`` (Sec 3.3). The :class:`Layout` that :func:`block_stats`
 builds routes by the min-max stats of each block's rows instead (Sec 3.2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 import pandas as pd
@@ -41,98 +41,75 @@ from .schema import TableSchema
 
 
 @dataclass
-class TreeNode:
-    """One qd-tree node; ``cut is None`` ⇔ leaf."""
-
-    desc: Blocks  # the node's description, one row
-    cut: object = None
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    bid: int = -1  # assigned to leaves by QdTree.finalize
-    n_rows: int = 0  # build rows that reached this node (set by greedy.grow)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.cut is None
-
-    def split(self, cut, kids: Blocks) -> tuple["TreeNode", "TreeNode"]:
-        """Cut this leaf; ``kids`` describes its children, row 0 the left
-        one (where ``cut`` holds) and row 1 the right. Returns the (left,
-        right) children."""
-        assert self.is_leaf, "cannot split an internal node"
-        self.cut = cut
-        self.left, self.right = TreeNode(kids[:1]), TreeNode(kids[1:])
-        return self.left, self.right
-
-
-@dataclass
 class QdTree:
-    """A finalized qd-tree with contiguous leaf BIDs."""
+    """A qd-tree as arrays over its nodes, a parent before its children
+    (:func:`~.greedy.grow` gives breadth-first order). Leaves carry BIDs
+    ``0..n_leaves-1``, numbered left to right."""
 
-    root: TreeNode
     schema: TableSchema
-    leaves: list[TreeNode]
-    blocks: Blocks  # the leaf descriptions, in BID order
+    cuts: list  # the cuts that ``cut`` indexes
+    cut: np.ndarray  # (nodes,) index into ``cuts``, or -1 for a leaf
+    left: np.ndarray  # (nodes,) the child where the cut holds; the right
+    #                   child is ``left + 1``; -1 for a leaf
+    n_rows: np.ndarray  # (nodes,) build rows that reached each node
+    desc: Blocks  # the node descriptions, one row each
+    bid: np.ndarray = field(init=False)  # (nodes,) a leaf's BID, -1 inside
+    blocks: Blocks = field(init=False)  # the leaf descriptions, in BID order
+    depth: int = field(init=False)  # nodes on the longest root-to-leaf path
 
-    @staticmethod
-    def build(root: TreeNode, schema: TableSchema) -> "QdTree":
-        """Number leaves left-to-right and wrap into a QdTree."""
-        leaves: list[TreeNode] = []
-
-        def visit(n: TreeNode):
-            if n.is_leaf:
-                n.bid = len(leaves)
-                leaves.append(n)
+    def __post_init__(self):
+        inner = np.flatnonzero(self.cut >= 0)
+        if not (self.left[inner] > inner).all():
+            raise ValueError("a node's children must come after it")
+        leaves, stack = [], [(0, 1)]
+        while stack:  # preorder, left subtree first
+            i, d = stack.pop()
+            if self.cut[i] < 0:
+                leaves.append((i, d))
             else:
-                visit(n.left)
-                visit(n.right)
-
-        visit(root)
-        return QdTree(root, schema, leaves, Blocks.stack([lf.desc for lf in leaves]))
+                stack += [(self.left[i] + 1, d + 1), (self.left[i], d + 1)]
+        leaves, depths = np.array(leaves).T
+        self.depth = int(depths.max())
+        self.bid = np.full(len(self.cut), -1)
+        self.bid[leaves] = np.arange(len(leaves))
+        self.blocks = self.desc[leaves]
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def depth(self) -> int:
-        def d(n: TreeNode) -> int:
-            return 1 if n.is_leaf else 1 + max(d(n.left), d(n.right))
-
-        return d(self.root)
+        return len(self.blocks)
 
     # ------------------------------------------------------------- routing
     def route(self, encoded: pd.DataFrame) -> np.ndarray:
-        """BID per row of an encoded frame (vectorised, Sec 3.1)."""
+        """BID per row of an encoded frame (vectorised, Sec 3.1): each node
+        splits its rows between its children by its cut."""
         cols = {c: encoded[c].to_numpy() for c in encoded.columns}
         bids = np.empty(len(encoded), dtype=np.int64)
-        idx0 = np.arange(len(encoded))
-
-        def down(node: TreeNode, idx: np.ndarray):
-            if node.is_leaf:
-                bids[idx] = node.bid
-                return
-            m = atom_mask(node.cut, lambda name: cols[name][idx])
-            down(node.left, idx[m])
-            down(node.right, idx[~m])
-
-        down(self.root, idx0)
+        rows = {0: np.arange(len(encoded))}
+        for i, (ci, j) in enumerate(zip(self.cut.tolist(), self.left.tolist())):
+            idx = rows.pop(i)
+            if ci < 0:
+                bids[idx] = self.bid[i]
+                continue
+            m = atom_mask(self.cuts[ci], lambda name: cols[name][idx])
+            rows[j], rows[j + 1] = idx[m], idx[~m]
         return bids
 
     def routing_column(self):
         """Catalyst expression computing the BID for each raw row: one
         nested ``CASE WHEN <cut> THEN <left> ELSE <right> END`` string,
-        parsed once. A NULL cut goes ``ELSE`` (right), as in :meth:`route`.
-        Spark's parser takes trees of depth 200 and fails at depth 400."""
+        built from the leaves up and parsed once. A NULL cut goes ``ELSE``
+        (right), as in :meth:`route`. Spark's parser takes trees of depth
+        200 and fails at depth 400; a form for deeper trees is still open
+        (ROADMAP, "Write trees of any depth")."""
         from pyspark.sql import functions as F
 
-        def sql(node: TreeNode) -> str:
-            if node.is_leaf:
-                return str(node.bid)
-            return (f"CASE WHEN {to_sql(node.cut, self.schema)} "
-                    f"THEN {sql(node.left)} ELSE {sql(node.right)} END")
-
-        return F.expr(sql(self.root))
+        sql = [str(b) for b in self.bid.tolist()]
+        for i in reversed(np.flatnonzero(self.cut >= 0).tolist()):
+            j = int(self.left[i])
+            sql[i] = (f"CASE WHEN {to_sql(self.cuts[self.cut[i]], self.schema)} "
+                      f"THEN {sql[j]} ELSE {sql[j + 1]} END")
+            sql[j] = sql[j + 1] = ""  # held inside sql[i] now
+        return F.expr(sql[0])
 
     # ------------------------------------------------------------- queries
     def query_bids(self, query: QueryNode) -> list[int]:

@@ -11,11 +11,13 @@ Tree-structured MDP exactly as the paper defines it:
   sample (Sec 5.2.1, :func:`~repro.core.greedy.legal_cuts`) — when no
   cut is legal the node becomes a leaf;
 * **reward** — for every internal node ``n`` with chosen cut ``p``,
-  ``R((n,p)) = S(n) / (|W|·|n.records|)`` where ``S(n)`` recursively sums
-  the skipped-record counts of the leaves below ``n`` (Sec 5.2.2).
+  ``R((n,p)) = S(n) / (|W|·|n.records|)`` where ``S(n)`` sums the
+  skipped-record counts of the leaves below ``n`` (Sec 5.2.2): one pass
+  back over the tree's node arrays.
 
-Each episode builds a whole tree with :func:`repro.core.greedy.grow`, the
-construction loop Greedy also uses; WOODBLOCK only supplies the chooser.
+Each episode builds a whole tree, as node arrays, with
+:func:`repro.core.greedy.grow`, the construction loop Greedy also uses;
+WOODBLOCK only supplies the chooser.
 The policy is fixed between two PPO updates, so the ``BATCH_EPISODES``
 episodes of one update are grown together, as one forest (:func:`_episodes`):
 ``grow`` hands the chooser one breadth-first level of every tree at a
@@ -40,10 +42,10 @@ import pandas as pd
 
 from ..rl.mlp import PolicyValueNet
 from ..rl.ppo import Batch, PPOTrainer
-from .greedy import CutMatrix, Level, grow
+from .greedy import CutMatrix, Level, Nodes, grow
 from .intersect import Blocks, Space, Workload, compile_workload
 from .predicates import Node as QueryNode
-from .qdtree import QdTree, TreeNode
+from .qdtree import QdTree
 from .schema import TableSchema
 
 
@@ -113,10 +115,10 @@ class WoodblockResult:
 
 @dataclass
 class Episode:
-    """One tree built by the policy, and its transitions in breadth-first
-    order as arrays, one row per chosen cut."""
+    """One tree built by the policy, and its transitions as arrays, one row
+    per chosen cut: per internal node of ``nodes``, in order."""
 
-    root: TreeNode
+    nodes: Nodes
     fraction: float  # the tree's sample access fraction
     obs: np.ndarray  # (steps, dim)
     actions: np.ndarray  # (steps,)
@@ -142,14 +144,14 @@ def _episodes(
     uniform from its own episode's generator, in breadth-first order, so
     an episode is the same whichever episodes are grown beside it."""
     n_trees = 1 if rngs is None else len(rngs)
-    levels = []  # per level: (tree, obs, actions, legal, logp, values, nodes)
+    levels = []  # per level: (tree, obs, actions, legal, logp, values)
 
     def choose(lv: Level) -> np.ndarray:
         """Sample (or take the argmax of) the policy on the level's nodes in
         one forward. Each split adds one open leaf, so ``max_leaves`` admits
         the first ``max_leaves − n_open`` nodes of each tree; the rest
         become leaves."""
-        out = np.full(len(lv.nodes), -1)
+        out = np.full(len(lv.tree), -1)
         rank = np.arange(len(lv.tree)) - np.searchsorted(lv.tree, lv.tree)
         sel = np.flatnonzero(rank < max_leaves - lv.n_open[lv.tree])
         if not len(sel):
@@ -162,37 +164,34 @@ def _episodes(
             trees, k = np.unique(tree, return_counts=True)
             u = np.concatenate([rngs[t].random(kt) for t, kt in zip(trees, k)])
             ci, logp, values = trainer.action_logp(obs, legal, u)
-        levels.append((tree, obs, ci, legal, logp, values, [lv.nodes[j] for j in sel]))
+        levels.append((tree, obs, ci, legal, logp, values))
         out[sel] = ci
         return out
 
-    roots, leaves = grow(cm, root_desc[np.zeros(n_trees, dtype=np.int64)], wl, b_sample,
-                         False, choose)
-    w, n = wl.n_queries, len(cm.masks)
-    fractions = [sum(node.n_rows * nact for node, nact in lvs) / (n * w) if w else 0.0
-                 for lvs in leaves]
-
-    # S(n): skipped records below each node (Sec 5.2.2), bottom-up; the
-    # levels are in breadth-first order, so children come after parents
-    nodes = [node for *_, lv_nodes in levels for node in lv_nodes]
-    skipped = {id(node): node.n_rows * (w - nact) for lvs in leaves for node, nact in lvs}
-    for node in reversed(nodes):
-        skipped[id(node)] = skipped[id(node.left)] + skipped[id(node.right)]
-    rewards = np.array([
-        skipped[id(node)] / (w * node.n_rows) if w and node.n_rows else 0.0
-        for node in nodes
-    ], dtype=np.float64)
+    trees = grow(cm, root_desc[np.zeros(n_trees, dtype=np.int64)], wl, b_sample, False, choose)
     if not levels:  # no root has a legal cut
         none = np.zeros(0, dtype=np.int64)
         levels = [(none, np.zeros((0, feat.dim)), none, np.zeros((0, len(cm.cuts)), dtype=bool),
-                   np.zeros(0), np.zeros(0), [])]
-    # episode by episode, each in breadth-first order
-    tree, *cols = (np.concatenate(c) for c in list(zip(*levels))[:6])
+                   np.zeros(0), np.zeros(0))]
+    # episode by episode, each in breadth-first order: the order of its
+    # internal nodes
+    tree, *cols = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree, kind="stable")
     ends = np.cumsum(np.bincount(tree, minlength=n_trees))[:-1]
-    per_episode = [np.split(c[order], ends) for c in (*cols, rewards)]
-    return [Episode(root, frac, *parts)
-            for root, frac, *parts in zip(roots, fractions, *per_episode)]
+    per_episode = zip(*(np.split(c[order], ends) for c in cols))
+    w, n = wl.n_queries, len(cm.masks)
+    out = []
+    for t, parts in zip(trees, per_episode):
+        # S(n): skipped records below each node (Sec 5.2.2), in one pass
+        # from the last node back, as children come after their parent
+        leaf = t.cut < 0
+        skipped = np.where(leaf, t.n_rows * (w - t.n_active), 0)
+        for i in np.flatnonzero(~leaf)[::-1]:
+            skipped[i] = skipped[t.left[i]] + skipped[t.left[i] + 1]
+        rewards = skipped[~leaf] / (w * t.n_rows[~leaf]) if w else np.zeros(len(parts[0]))
+        fraction = float(t.n_rows[leaf] @ t.n_active[leaf]) / (n * w) if w else 0.0
+        out.append(Episode(t, fraction, *parts, rewards))
+    return out
 
 
 def _batch(episodes: list[Episode]) -> Batch:
@@ -229,7 +228,7 @@ def woodblock_qdtree(
     net = PolicyValueNet(feat.dim, len(cm.cuts), seed=cfg.seed)
     trainer = PPOTrainer(net, lr=LR, ent_coef=ENT_COEF, seed=cfg.seed)
 
-    best_root, best_frac = None, np.inf
+    best, best_frac = None, np.inf
     history = []
     # episode e samples from its own stream, so that what it draws does not
     # depend on which episodes are grown beside it
@@ -241,7 +240,7 @@ def woodblock_qdtree(
         )
         for ep, e in enumerate(batch, start):
             if e.fraction < best_frac:
-                best_frac, best_root = e.fraction, e.root
+                best_frac, best = e.fraction, e.nodes
             history.append((ep, e.fraction, best_frac))
         if sum(len(e.actions) for e in batch):
             trainer.update(_batch(batch))
@@ -250,9 +249,10 @@ def woodblock_qdtree(
     # candidate once the policy has concentrated
     [e] = _episodes(trainer, feat, cm, root_desc, wl, b_sample, cfg.max_leaves, None)
     if e.fraction < best_frac:
-        best_frac, best_root = e.fraction, e.root
+        best_frac, best = e.fraction, e.nodes
     history.append((cfg.episodes, e.fraction, best_frac))
 
     return WoodblockResult(
-        tree=QdTree.build(best_root, schema), best_fraction=best_frac, history=history
+        tree=QdTree(schema, cm.cuts, best.cut, best.left, best.n_rows, best.desc),
+        best_fraction=best_frac, history=history,
     )

@@ -21,9 +21,9 @@ tree: it may return ``True`` for a block with no matching rows, never
 range atom one interval, a categorical atom one mask, an AC atom one bit.
 :func:`block_description` is the per-block reference of
 :func:`repro.core.qdtree.block_stats`; :func:`blocks_of` and
-:func:`descriptions` convert between the two forms. :func:`split_row` and
-:func:`split_node` cut one description, or one leaf of a tree built by
-hand, through the cut sides the kernel compiles.
+:func:`descriptions` convert between the two forms. :func:`split_row` cuts
+one description through the cut sides the kernel compiles, and
+:func:`hand_tree` builds a tree by hand from such cuts.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import pandas as pd
 
 from repro.core.intersect import Blocks, Space, compile_workload
 from repro.core.predicates import AdvPred, And, Node, Or, Pred, eval_mask
-from repro.core.qdtree import TreeNode
+from repro.core.qdtree import QdTree
 from repro.core.schema import CATEGORICAL, TableSchema
 
 
@@ -238,6 +238,20 @@ def split_row(row: Blocks, cut) -> Blocks:
     return row.restrict(compile_workload([], row.space, [cut]).sides)
 
 
-def split_node(node: TreeNode, cut) -> tuple[TreeNode, TreeNode]:
-    """Cut the leaf ``node`` of a tree built by hand; returns (left, right)."""
-    return node.split(cut, split_row(node.desc, cut))
+def hand_tree(schema: TableSchema, splits, ac_names: Sequence[str] = ()) -> QdTree:
+    """A tree built by hand as node arrays. ``splits`` lists ``(node,
+    cut)`` pairs in order; each cuts a leaf and appends its two children,
+    so the k-th split's children are nodes ``2k + 1`` (where the cut holds)
+    and ``2k + 2``; node 0 is the root. Cutting an internal node raises."""
+    cuts, cut, left = [], [-1], [-1]
+    desc = [Blocks.root(schema, ac_names)]  # one row per node
+    for node, c in splits:
+        assert cut[node] < 0, "cannot split an internal node"
+        cut[node], left[node] = len(cuts), len(cut)
+        cuts.append(c)
+        kids = split_row(desc[node], c)
+        desc += [kids[:1], kids[1:]]
+        cut += [-1, -1]
+        left += [-1, -1]
+    return QdTree(schema, cuts, np.array(cut), np.array(left), np.zeros(len(cut), dtype=np.int64),
+                  Blocks.stack(desc))

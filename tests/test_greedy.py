@@ -140,7 +140,8 @@ def test_legal_relaxed_rejects_empty_child():
 
 def test_leaf_n_rows_match_leaf_sizes(tpch_bundle, tpch_tree):
     sizes = np.bincount(tpch_tree.route(tpch_bundle.encoded), minlength=tpch_tree.n_leaves)
-    assert [lf.n_rows for lf in tpch_tree.leaves] == sizes.tolist()
+    leaf = tpch_tree.cut < 0
+    assert tpch_tree.n_rows[leaf].tolist() == sizes[tpch_tree.bid[leaf]].tolist()
 
 
 @pytest.mark.parametrize("build", ["greedy", "relaxed", "woodblock"])
@@ -157,15 +158,15 @@ def test_level_counts_match_direct_gather(bundle, build, request, monkeypatch):
 
     def recording_grow(cm, roots, wl, b, relaxed, choose):
         def check(lv):
-            for node, rows, counts, legal in zip(lv.nodes, lv.idx, lv.counts, lv.legal):
+            for n_rows, rows, counts, legal in zip(lv.n_rows, lv.idx, lv.counts, lv.legal):
                 direct = cm.left_counts(rows)
                 small = np.minimum(direct, len(rows) - direct)
                 large = np.maximum(direct, len(rows) - direct)
-                assert node.n_rows == len(rows)
+                assert n_rows == len(rows)
                 assert np.array_equal(counts, direct)
                 assert np.array_equal(legal, (large >= b) & (small >= 1) if relaxed
                                       else small >= b)
-            seen.append(len(lv.nodes))
+            seen.append(len(lv.tree))
             trees.append(len(set(lv.tree.tolist())))
             return choose(lv)
 

@@ -83,12 +83,17 @@ def test_evaluate_layout_ignores_bid_labels(bundle_trees):
             assert evaluate_layout(enc, labels, bd.schema, W, bd.acs) == want, name
 
 
-def _leaf_paths(node, path=()):
-    """(leaf, [(cut, side), ...] from the root) for every leaf below ``node``."""
-    if node.is_leaf:
-        return [(node, path)]
-    return (_leaf_paths(node.left, path + ((node.cut, True),))
-            + _leaf_paths(node.right, path + ((node.cut, False),)))
+def _leaf_paths(tree):
+    """(BID, [(cut, side), ...] from the root) for every leaf of ``tree``."""
+    out, stack = [], [(0, ())]
+    while stack:
+        i, path = stack.pop()
+        if tree.cut[i] < 0:
+            out.append((tree.bid[i], path))
+            continue
+        cut = tree.cuts[tree.cut[i]]
+        stack += [(tree.left[i] + 1, path + ((cut, False),)), (tree.left[i], path + ((cut, True),))]
+    return out
 
 
 def test_leaf_rows_match_restrict_walk(bundle_trees):
@@ -98,15 +103,15 @@ def test_leaf_rows_match_restrict_walk(bundle_trees):
     root = Description.root(bd.schema, bd.ac_names)
     for name, tree in trees.items():
         rows = descriptions(tree.blocks)
-        for leaf, path in _leaf_paths(tree.root):
+        for bid, path in _leaf_paths(tree):
             want = root
             for cut, side in path:
                 want = want.restrict(cut, side)
-            got = rows[leaf.bid]
-            assert got.ranges == want.ranges and got.acs == want.acs, (name, leaf.bid)
+            got = rows[bid]
+            assert got.ranges == want.ranges and got.acs == want.acs, (name, bid)
             assert got.masks.keys() == want.masks.keys()
             for col, m in want.masks.items():
-                assert np.array_equal(got.masks[col], m), (name, leaf.bid, col)
+                assert np.array_equal(got.masks[col], m), (name, bid, col)
 
 
 # --------------------------------------------------- semantic traps, by hand

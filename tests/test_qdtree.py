@@ -7,21 +7,17 @@ import pandas as pd
 import pytest
 
 from repro.core.greedy import greedy_qdtree
-from repro.core.intersect import Blocks
 from repro.core.predicates import AdvPred, And, Pred, eval_mask, to_sql
-from repro.core.qdtree import QdTree, TreeNode, block_stats
+from repro.core.qdtree import QdTree, block_stats
 from repro.core.schema import infer_schema
 
-from .reference import Interval, block_description, descriptions, split_node
+from .reference import Interval, block_description, descriptions, hand_tree
 
 
 @pytest.fixture(scope="module")
 def manual_tree(tiny2d_module):
     pdf, sch, enc = tiny2d_module
-    root = TreeNode(Blocks.root(sch))
-    l, r = split_node(root, Pred("cpu", "<", 50.0))
-    split_node(l, Pred("disk", "<", 0.5))
-    return QdTree.build(root, sch), enc
+    return hand_tree(sch, [(0, Pred("cpu", "<", 50.0)), (1, Pred("disk", "<", 0.5))]), enc
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +34,8 @@ def tiny2d_module():
 def test_build_numbers_leaves_left_to_right(manual_tree):
     tree, _ = manual_tree
     assert tree.n_leaves == 3
-    assert [lf.bid for lf in tree.leaves] == [0, 1, 2]
+    # nodes: root, cpu < 50, cpu >= 50, then the two halves of cpu < 50
+    assert tree.bid.tolist() == [-1, -1, 2, 0, 1]
     assert tree.depth == 3
 
 
@@ -64,12 +61,12 @@ def test_completeness_every_row_satisfies_its_leaf(manual_tree):
     other leaf's does."""
     tree, enc = manual_tree
     bids = tree.route(enc)
-    for lf in tree.leaves:
-        in_leaf = bids == lf.bid
+    for bid, desc in enumerate(descriptions(tree.blocks)):
+        in_leaf = bids == bid
         # evaluate the leaf's range description as a data predicate; for a
         # pure range tree it must coincide exactly with leaf membership
         m = np.ones(len(enc), dtype=bool)
-        for col, iv in descriptions(lf.desc)[0].ranges.items():
+        for col, iv in desc.ranges.items():
             v = enc[col].to_numpy()
             m &= (iv.lo <= v) & (v <= iv.hi)
         assert (m == in_leaf).all()
@@ -94,9 +91,7 @@ def test_query_bids_rows_outside_domain():
     pdf = pd.DataFrame({"x": [10.0, 20.0, 200.0, 200.0], "y": [1.0, 50.0, 2.0, 60.0]})
     sch = infer_schema(pdf, domains={"x": (0.0, 100.0), "y": (0.0, 100.0)})
     enc = sch.encode(pdf)
-    root = TreeNode(Blocks.root(sch))
-    split_node(root, Pred("x", ">", 150.0))
-    tree = QdTree.build(root, sch)
+    tree = hand_tree(sch, [(0, Pred("x", ">", 150.0))])
     assert tree.route(enc).tolist() == [1, 1, 0, 0]
     assert descriptions(tree.blocks)[0].ranges["x"].is_empty()
     assert tree.query_bids(Pred("y", "<", 10.0)) == [0, 1]
@@ -228,9 +223,12 @@ def test_layout_ac_query_needs_ac_stats():
 
 
 def test_split_guard(manual_tree):
+    """A tree's loops visit a parent before its children, so a child that
+    comes first is refused."""
     tree, _ = manual_tree
-    with pytest.raises(AssertionError):
-        split_node(tree.root, Pred("cpu", "<", 10.0))
+    with pytest.raises(ValueError, match="children"):
+        QdTree(tree.schema, tree.cuts, tree.cut, np.array([3, 0, -1, -1, -1]), tree.n_rows,
+               tree.desc)
 
 
 def test_pickle_roundtrip(manual_tree):
@@ -238,6 +236,24 @@ def test_pickle_roundtrip(manual_tree):
     tree2 = pickle.loads(pickle.dumps(tree))
     assert (tree2.route(enc) == tree.route(enc)).all()
     assert tree2.n_leaves == tree.n_leaves
+
+
+def test_deep_chain_builds_routes_and_pickles():
+    """A chain of 2,000 cuts, each splitting one leaf off on the left,
+    the depth of a skewed tree at the paper's ~2,000 blocks: it builds,
+    every row routes to the interval it falls in, and it pickles."""
+    g = np.random.default_rng(0)
+    pdf = pd.DataFrame({"x": g.random(5000) * 100})
+    sch = infer_schema(pdf, domains={"x": (0.0, 100.0)})
+    enc = sch.encode(pdf)
+    edges = np.sort(g.choice(np.unique(pdf["x"]), 2000, replace=False))
+    tree = hand_tree(sch, [(2 * k, Pred("x", "<", float(e))) for k, e in enumerate(edges)])
+    assert (tree.n_leaves, tree.depth) == (2001, 2001)
+    bids = tree.route(enc)
+    assert np.array_equal(bids, np.searchsorted(edges, enc["x"].to_numpy(), side="right"))
+    tree2 = pickle.loads(pickle.dumps(tree))
+    assert np.array_equal(tree2.route(enc), bids)
+    assert tree2.cuts == tree.cuts and np.array_equal(tree2.left, tree.left)
 
 
 def test_route_deterministic(manual_tree):

@@ -14,9 +14,8 @@ from repro.baselines.simple import random_partition
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
-from repro.core.intersect import Blocks
 from repro.core.predicates import AdvPred, And, Pred, eval_mask, to_sql
-from repro.core.qdtree import QdTree, TreeNode, block_stats
+from repro.core.qdtree import QdTree, block_stats
 from repro.core.schema import infer_schema
 from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
@@ -31,7 +30,7 @@ from repro.spark_io.layout import (
 )
 from repro.workloads import asts
 
-from .reference import split_node
+from .reference import hand_tree
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +101,7 @@ def test_null_routes_right_under_negated_ac(spark):
     row right, as the Catalyst ``CASE`` does by its ``ELSE``."""
     raw = pd.DataFrame({"x": [1.0, np.nan, 5.0, 2.0], "y": [2.0, 3.0, np.nan, 1.0]})
     sch = infer_schema(raw)
-    root = TreeNode(Blocks.root(sch, ("xy",)))
-    split_node(root, AdvPred("xy", "x", "<", "y", negated=True))
-    tree = QdTree.build(root, sch)
+    tree = hand_tree(sch, [(0, AdvPred("xy", "x", "<", "y", negated=True))], ("xy",))
     bids = tree.route(sch.encode(raw))
     assert bids.tolist() == [1, 1, 1, 0]
     assert (_spark_bids(spark, tree, raw, sch) == bids).all()
@@ -112,10 +109,7 @@ def test_null_routes_right_under_negated_ac(spark):
 
 def _chain_tree(schema, cuts) -> QdTree:
     """A tree whose every cut splits off one leaf on the left."""
-    root = node = TreeNode(Blocks.root(schema))
-    for cut in cuts:
-        _, node = split_node(node, cut)
-    return QdTree.build(root, schema)
+    return hand_tree(schema, [(2 * k, cut) for k, cut in enumerate(cuts)])
 
 
 def _deep_chain(raw, sch) -> QdTree:

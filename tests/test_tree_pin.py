@@ -18,12 +18,14 @@ from repro.workloads import asts
 
 
 def _preorder(tree) -> list:
-    out, stack = [], [tree.root]
+    out, stack = [], [0]
     while stack:
-        node = stack.pop()
-        out.append((repr(node.cut), node.n_rows, node.bid))
-        if not node.is_leaf:
-            stack += [node.right, node.left]
+        i = stack.pop()
+        ci = int(tree.cut[i])
+        out.append((repr(tree.cuts[ci] if ci >= 0 else None), int(tree.n_rows[i]),
+                    int(tree.bid[i])))
+        if ci >= 0:
+            stack += [tree.left[i] + 1, tree.left[i]]
     return out
 
 

@@ -214,7 +214,8 @@ def test_leaf_n_rows_match_leaf_sizes(fig3):
     res = woodblock_qdtree(enc, sch, cuts, W, b_sample=100,
                            config=WoodblockConfig(episodes=4, seed=3))
     sizes = np.bincount(res.tree.route(enc), minlength=res.tree.n_leaves)
-    assert [lf.n_rows for lf in res.tree.leaves] == sizes.tolist()
+    leaf = res.tree.cut < 0
+    assert res.tree.n_rows[leaf].tolist() == sizes[res.tree.bid[leaf]].tolist()
 
 
 def test_trailing_episodes_reach_ppo(fig3, monkeypatch):
@@ -247,15 +248,10 @@ def _setup(bd, seed=0):
     return trainer, feat, cm, root, compile_workload(W, root.space, cm.cuts)
 
 
-def _shape(root):
-    """The tree in preorder, as (cut, rows) per node."""
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        out.append((repr(node.cut), node.n_rows))
-        if not node.is_leaf:
-            stack += [node.right, node.left]
-    return out
+def _shape(nodes):
+    """The tree in breadth-first order, as (cut, left child, rows) per
+    node."""
+    return list(zip(nodes.cut.tolist(), nodes.left.tolist(), nodes.n_rows.tolist()))
 
 
 def _assert_same(got, want):
@@ -267,7 +263,7 @@ def _assert_same(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for name in ("logp", "values"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=1e-15)
-    assert _shape(got.root) == _shape(want.root)
+    assert _shape(got.nodes) == _shape(want.nodes)
 
 
 def _streams(n, seed=0):
@@ -290,7 +286,7 @@ def test_episodes_together_equal_one_at_a_time(bundle, max_leaves, request):
     assert len(together) == BATCH_EPISODES
     for got, want in zip(together, alone):
         _assert_same(got, want)
-    leaves = [len(_shape(e.root)) - len(e.actions) for e in together]
+    leaves = [len(_shape(e.nodes)) - len(e.actions) for e in together]
     assert min(len(e.actions) for e in together) > 3
     if max_leaves < 4096:
         assert max(leaves) == max_leaves
