@@ -28,6 +28,7 @@ from pyspark.sql import functions as F
 
 from ..core.qdtree import QdTree, block_stats
 from ..spark_io.layout import (
+    open_layout,
     read_routed,
     scan_metrics,
     spark_df_from_raw,
@@ -87,6 +88,8 @@ def run_physical(
 
     reads = {"qdtree": (tree_path, layout), "qdtree-noroute": (tree_path, None),
              "baseline": (base_path, None)}  # mode -> (layout path, router)
+    for path in (tree_path, base_path):  # before the clock: modes share the tree's path
+        open_layout(spark, path)
     for q in queries:
         for mode, (path, router) in reads.items():
             t0 = time.perf_counter()
