@@ -9,9 +9,10 @@ a time and hands a *chooser* the level's nodes that have a legal cut
 (:class:`Level`); the chooser returns each one's cut, or ``-1`` to make it
 a leaf. Each tree comes back as arrays over its nodes in breadth-first
 order (:class:`Nodes`), the form :class:`~.qdtree.QdTree` holds.
-:func:`legal_cuts` is the one rule for which cuts a chooser may pick. Greedy's chooser takes the legal cut maximising the increase in
-skipped tuples ``C(T ⊕ (p, n)) − C(T)`` and stops at a leaf when no cut
-gives a strictly positive gain; WOODBLOCK's samples its policy.
+:func:`legal_cuts` is the one rule for which cuts a chooser may pick.
+Greedy's chooser takes the legal cut maximising the increase in skipped
+tuples ``C(T ⊕ (p, n)) − C(T)`` and stops at a leaf when no cut gives a
+strictly positive gain; WOODBLOCK's samples its policy.
 
 Because splitting a leaf only changes that leaf's contribution to ``C``,
 the greedy criterion is evaluated locally, so expansion order does not
@@ -27,7 +28,8 @@ analysed in the paper:
 * *active-query pruning*: each level is tested only against the boxes of
   the compiled workload (:mod:`.intersect`) its parents intersect, and
   one batched kernel call gives the active-query counts of both children
-  of every legal cut of the level;
+  of every legal cut of the level, testing each child only on the atoms
+  of its cut's field;
 * the children of a level are restricted by the cut sides compiled with
   the workload (``Workload.sides``), all in one batch.
 """
@@ -226,7 +228,7 @@ def greedy_qdtree(
         where gain = Δ skipped tuples = |N|·|A| − |L|·|A_L| − |R|·|A_R|;
         every legal cut of the level is counted in one batch."""
         node, ci = np.nonzero(lv.legal)
-        a_l, a_r = wl.split_counts(lv.desc[node], lv.boxes, ci)
+        a_l, a_r = wl.split_counts(lv.desc, node, lv.boxes, ci)
         n = lv.n_rows[node]
         nl = lv.counts[node, ci]
         gain = n * lv.n_active[node] - nl * a_l - (n - nl) * a_r

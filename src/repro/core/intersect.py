@@ -40,12 +40,16 @@ The compiled workload also carries both sides of every candidate cut
 (:func:`cut_sides`, as bounds and kept bits, ``Workload.sides``), so
 tree construction restricts a whole level's children in one batch, and
 Greedy gets the active-query counts of both children of every legal cut
-of a level in one call (:meth:`Workload.split_counts`): the children
-become the rows of one :class:`Blocks`, tested only against the boxes the
-level's parents intersect. A restriction never makes an atom true, so a
-box that fails at a node fails in both its children; and as a cut on
-column ``j`` changes only the atoms on ``j``, an active box holds in a
-child iff the child's atoms on ``j`` do.
+of a level in one call (:meth:`Workload.split_counts`), tested only
+against the boxes the level's parents intersect. A *field* is a numeric
+column, a categorical column or an AC; atoms are ordered by field, and
+every atom and cut knows its field (``Workload.atom_field``,
+``Workload.cut_field``). A restriction never makes an atom true, and a cut
+changes only the atoms on its own field, so a box holds in a child iff it
+holds in the parent and the child's atoms on the cut's field hold.
+``split_counts`` computes each node's box truth once, groups the (node,
+cut) pairs by the cut's field, and tests each group's children on that
+field's atoms alone.
 """
 from __future__ import annotations
 
@@ -170,7 +174,8 @@ def _dnf(q) -> list[tuple]:
 class Workload:
     """Compiled queries, and optionally the effects of candidate cuts.
 
-    Atoms are ordered range atoms, then categorical atoms, then AC atoms.
+    Atoms are ordered by the field they read: range atoms, then categorical
+    atoms, then AC atoms, so the atoms of one field are one slice.
     """
 
     space: Space
@@ -187,25 +192,37 @@ class Workload:
     box_query: np.ndarray  # (boxes, queries) float32: box of query
     box_q: np.ndarray  # (boxes,) query of each box, ascending
     atoms: tuple  # the leaf predicates, in atom order
+    atom_field: np.ndarray  # per atom: the field it reads (see _field), ascending
     sides: Blocks | None  # row c: where cut c holds; row n_cuts + c: where it
     #                       does not (None when compiled without cuts)
+    cut_field: np.ndarray  # per cut: the field it restricts
 
     # ------------------------------------------------------------- queries
-    def truth(self, b: Blocks) -> np.ndarray:
-        """(blocks, atoms) bool: the walk's test of each atom on each block;
-        an atom kind the workload lacks is not computed."""
-        out = np.empty((len(b), len(self.atoms)), dtype=bool)
+    def truth(self, b: Blocks, atoms: slice = slice(None)) -> np.ndarray:
+        """(blocks, atoms) bool: the walk's test of each atom in ``atoms`` (a
+        slice of the atom order, all atoms by default) on each block; an
+        atom kind the slice lacks is not computed."""
+        start, stop, _ = atoms.indices(len(self.atoms))
+        out = np.empty((len(b), stop - start), dtype=bool)
         n_rng, n_cat = len(self.r_col), self.c_ind.shape[1]
-        if n_rng:
-            lo, hi = b.lo[:, self.r_col], b.hi[:, self.r_col]
-            x = np.where(self.r_lo, lo, -hi)
-            out[:, :n_rng] = np.where(self.r_strict, x < self.r_val, x <= self.r_val) & ~(lo > hi)
-        if n_cat:
-            out[:, n_rng:n_rng + n_cat] = \
-                b.masks[:, self.c_rows].astype(np.float32) @ self.c_ind > 0
-        if len(self.a_col):
-            out[:, n_rng + n_cat:] = np.where(self.a_neg, b.may_false[:, self.a_col],
-                                              b.may_true[:, self.a_col])
+        kinds = ((0, n_rng), (n_rng, n_rng + n_cat), (n_rng + n_cat, len(self.atoms)))
+        for kind, (s, e) in enumerate(kinds):
+            a, z = max(s, start), min(e, stop)  # this kind's atoms in the slice
+            if a >= z:
+                continue
+            cols, k = out[:, a - start:z - start], slice(a - s, z - s)
+            if kind == 0:
+                lo, hi = b.lo[:, self.r_col[k]], b.hi[:, self.r_col[k]]
+                x = np.where(self.r_lo[k], lo, -hi)
+                cols[:] = np.where(self.r_strict[k], x < self.r_val[k], x <= self.r_val[k]) \
+                    & ~(lo > hi)
+            elif kind == 1:
+                ind = self.c_ind[:, k]
+                read = ind.any(axis=1)  # the mask positions these atoms read
+                cols[:] = b.masks[:, self.c_rows[read]].astype(np.float32) @ ind[read] > 0
+            else:
+                cols[:] = np.where(self.a_neg[k], b.may_false[:, self.a_col[k]],
+                                   b.may_true[:, self.a_col[k]])
         return out
 
     def box_truth(self, b: Blocks, boxes=slice(None)) -> np.ndarray:
@@ -248,19 +265,47 @@ class Workload:
 
     # ---------------------------------------------------------------- cuts
     def split_counts(
-        self, desc: Blocks, boxes: np.ndarray, cis: np.ndarray
+        self, desc: Blocks, node: np.ndarray, boxes: np.ndarray, cis: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(|A_L|, |A_R|) per cut in ``cis``: active queries of both children
-        of cut ``cis[i]`` on the node described by row ``i`` of ``desc``,
-        among ``boxes`` (ascending, and holding every box the node
-        intersects)."""
+        """(|A_L|, |A_R|) per pair i: active queries of both children of cut
+        ``cis[i]`` on the node described by row ``node[i]`` of ``desc``,
+        among ``boxes`` (ascending, and holding every box the nodes
+        intersect).
+
+        A box holds in a child iff it holds in the parent and the child's
+        atoms on the cut's field hold. So each node's boxes are tested once,
+        and the pairs are grouped by the cut's field, over the fields
+        present: a group tests only its field's atoms, and recounts only
+        the queries with a box that reads the field; every other query
+        keeps its count in the parent. Chunks of 1,024 pairs bound the
+        (children, boxes) arrays."""
+        held = self.box_truth(desc, boxes)
+        out = np.tile(self.n_active(held, boxes)[node], (2, 1))
         n = len(self.sides) // 2
-        out = np.zeros((2, len(cis)), dtype=np.int64)
-        for s in range(0, len(cis), 1024):  # bounds the (children, atoms) arrays
-            rows = desc[s:s + 1024]
-            for side in (0, 1):
-                kids = rows.restrict(self.sides[cis[s:s + 1024] + side * n])
-                out[side, s:s + len(rows)] = self.n_active(self.box_truth(kids, boxes), boxes)
+        field = self.cut_field[cis]
+        order = np.argsort(field, kind="stable")
+        first = np.flatnonzero(np.diff(field[order], prepend=-1))  # each field's first pair
+        present = field[order[first]]  # only the fields the pairs cut
+        atoms = zip(np.searchsorted(self.atom_field, present),
+                    np.searchsorted(self.atom_field, present, side="right"))
+        box_q = self.box_q[boxes]
+        for (a, z), s, e in zip(atoms, first, [*first[1:], len(order)]):
+            on = self.box_atoms[a:z, boxes]  # the field's atoms × boxes
+            touched = np.zeros(self.n_queries, dtype=bool)
+            touched[box_q[on.any(axis=0)]] = True
+            sub = touched[box_q]  # the boxes of the queries the field's atoms can change
+            if not sub.any():
+                continue
+            on, sub_boxes = on[:, sub], boxes[sub]
+            for c in range(s, e, 1024):
+                p = order[c:min(c + 1024, e)]
+                kids = desc[np.tile(node[p], 2)].restrict(
+                    self.sides[np.concatenate([cis[p], cis[p] + n])])
+                false = ~self.truth(kids, slice(a, z))
+                par = held[node[p]][:, sub]
+                ok = np.tile(par, (2, 1)) & (false.astype(np.float32) @ on == 0)
+                out[:, p] += (self.n_active(ok, sub_boxes).reshape(2, -1)
+                              - self.n_active(par, sub_boxes))
         return out[0], out[1]
 
 
@@ -303,21 +348,19 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
 
     A field the space lacks raises ``KeyError``, as the walk does.
     """
-    rng: dict = {}
-    cat: dict = {}
-    ac: dict = {}
-    boxes: list[tuple[int, list]] = []  # (query, [(kind, local atom index)])
+    field: dict = {}  # atom -> its field, in order of first appearance
+    boxes: list[tuple[int, tuple]] = []  # (query, the box's atoms)
     for qi, q in enumerate(queries):
         for conj in _dnf(q):
-            box = []
             for a in conj:
-                if isinstance(a, AdvPred):
-                    box.append((2, ac.setdefault(a, len(ac))))
-                elif a.op in ("=", "in"):
-                    box.append((1, cat.setdefault(a, len(cat))))
-                else:
-                    box.append((0, rng.setdefault(a, len(rng))))
-            boxes.append((qi, box))
+                if a not in field:
+                    field[a] = _field(a, space)
+            boxes.append((qi, conj))
+    atoms = sorted(field, key=field.get)  # stable: by field, then first appearance
+    atom_field = np.array([field[a] for a in atoms], dtype=np.int64)
+    k0, k1 = np.searchsorted(atom_field, [len(space.num), len(space.num) + space.width])
+    rng, cat, ac = atoms[:k0], atoms[k0:k1], atoms[k1:]
+    at = {a: i for i, a in enumerate(atoms)}
 
     r_col = np.array([space.num[a.attr] for a in rng], dtype=np.int64)
     r_lo = np.array([a.op in ("<", "<=") for a in rng], dtype=bool)
@@ -334,16 +377,28 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
     c_ind = np.zeros((len(c_rows), len(cat)), dtype=np.float32)
     for k, pos in enumerate(reads):
         c_ind[np.searchsorted(c_rows, pos), k] = 1.0
-    base = (0, len(rng), len(rng) + len(cat))
-    box_atoms = np.zeros((len(rng) + len(cat) + len(ac), len(boxes)), dtype=np.float32)
+    box_atoms = np.zeros((len(atoms), len(boxes)), dtype=np.float32)
     box_query = np.zeros((len(boxes), len(queries)), dtype=np.float32)
     for k, (qi, box) in enumerate(boxes):
-        box_atoms[[base[kind] + i for kind, i in box], k] = 1.0
+        box_atoms[[at[a] for a in box], k] = 1.0
         box_query[k, qi] = 1.0
+    sides = cut_sides(cuts, space) if len(cuts) else None
     return Workload(
         space, len(queries), r_col, r_lo, r_strict, r_val, c_rows, c_ind,
         np.array([space.ac[a.name] for a in ac], dtype=np.int64),
         np.array([a.negated for a in ac], dtype=bool),
         box_atoms, box_query, np.array([qi for qi, _ in boxes], dtype=np.int64),
-        (*rng, *cat, *ac), cut_sides(cuts, space) if len(cuts) else None,
+        tuple(atoms), atom_field, sides,
+        np.array([_field(c, space) for c in cuts], dtype=np.int64),
     )
+
+
+def _field(p, space: Space) -> int:
+    """The field the leaf predicate ``p`` reads: numeric columns first, in
+    :class:`Space` order, then each categorical column by its mask offset,
+    then the ACs. A field the space lacks raises ``KeyError``."""
+    if isinstance(p, AdvPred):
+        return len(space.num) + space.width + space.ac[p.name]
+    if p.op in ("=", "in"):
+        return len(space.num) + space.cat[p.attr][0]
+    return space.num[p.attr]

@@ -22,8 +22,10 @@ range atom one interval, a categorical atom one mask, an AC atom one bit.
 :func:`block_description` is the per-block reference of
 :func:`repro.core.qdtree.block_stats`; :func:`blocks_of` and
 :func:`descriptions` convert between the two forms. :func:`split_row` cuts
-one description through the cut sides the kernel compiles, and
-:func:`hand_tree` builds a tree by hand from such cuts.
+one description through the cut sides the kernel compiles;
+:func:`split_counts_all_atoms` gives Greedy's active-query counts by
+testing every restricted child against every atom; :func:`hand_tree`
+builds a tree by hand from such cuts.
 """
 from __future__ import annotations
 
@@ -236,6 +238,16 @@ def split_row(row: Blocks, cut) -> Blocks:
     """Both children of the one-row description ``row`` under ``cut``: row 0
     where the cut holds, row 1 where it does not."""
     return row.restrict(compile_workload([], row.space, [cut]).sides)
+
+
+def split_counts_all_atoms(wl, desc: Blocks, node: np.ndarray, boxes: np.ndarray,
+                           cis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Workload.split_counts`` the long way: restrict both children of
+    every (node, cut) pair and test each against every atom, with no
+    parent truth and no grouping by field."""
+    n = len(wl.sides) // 2
+    kids = [desc[node].restrict(wl.sides[cis + side * n]) for side in (0, 1)]
+    return tuple(wl.n_active(wl.box_truth(k, boxes), boxes) for k in kids)
 
 
 def hand_tree(schema: TableSchema, splits, ac_names: Sequence[str] = ()) -> QdTree:

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from repro.core.cost import evaluate_layout
 from repro.core.cuts import extract_cuts
 from repro.core.greedy import greedy_qdtree
-from repro.core.intersect import Space, compile_workload
+from repro.core.intersect import Space, Workload, compile_workload
 from repro.core.predicates import AdvPred, And, Or, Pred
 from repro.core.qdtree import block_stats
 from repro.core.schema import CATEGORICAL, NUMERIC, ColumnSpec, TableSchema
 from repro.core.woodblock import WoodblockConfig, woodblock_qdtree
 from repro.workloads import asts
 
-from .reference import Description, Interval, blocks_of, descriptions, split_row
+from .reference import (Description, Interval, blocks_of, descriptions, split_counts_all_atoms,
+                        split_row)
 
 
 def _walk(descs, W) -> np.ndarray:
@@ -243,7 +244,7 @@ def test_split_counts_match_restrict_walk(tpch_bundle):
         active = [qi for qi, q in enumerate(W) if desc.may_intersect(q)]
         boxes = np.flatnonzero(wl.box_truth(row)[0])
         assert wl.n_active(wl.box_truth(row, boxes), boxes)[0] == len(active)
-        a_l, a_r = wl.split_counts(row[np.zeros(len(cis), dtype=np.int64)], boxes, cis)
+        a_l, a_r = wl.split_counts(row, np.zeros(len(cis), dtype=np.int64), boxes, cis)
         for ci, cut in enumerate(cuts):
             ld, rd = desc.restrict(cut, True), desc.restrict(cut, False)
             ref_l, ref_r = split_active(ld, rd, active, W)
@@ -258,3 +259,56 @@ def test_split_counts_match_restrict_walk(tpch_bundle):
                 for b_kid, d in zip(held, (ld, rd)):
                     assert np.array_equal(
                         boxes[b_kid], np.flatnonzero(wl.box_truth(blocks_of([d], space))[0]))
+
+
+@pytest.mark.parametrize("bundle", ["tpch_bundle", "errlog_int_bundle", "errlog_ext_bundle"])
+def test_split_counts_match_all_atoms(bundle, request, monkeypatch):
+    """At every level of Greedy on a test bundle, the per-field kernel gives
+    every legal (node, cut) pair the counts of testing both restricted
+    children against every atom. The cuts add a negated AC (TPC-H has
+    ACs) and one cut on each column no query reads, whose children hold
+    exactly the parent's boxes; and every level's nodes are checked again,
+    against every cut on a numeric column, with that column's range
+    emptied."""
+    bd = request.getfixturevalue(bundle)
+    W = asts(bd.queries)
+    space = Space.of(bd.schema, bd.ac_names)
+    read = {a.attr for a in compile_workload(W, space).atoms if isinstance(a, Pred)}
+    codes = {c: np.unique(bd.encoded[c]).astype(int).tolist() for c in bd.schema.columns}
+    unread = [Pred(c, "in", frozenset(codes[c][:max(1, len(codes[c]) // 2)]))
+              if bd.schema[c].kind == CATEGORICAL
+              else Pred(c, "<", float(np.median(bd.encoded[c])))
+              for c in bd.schema.columns if c not in read]
+    acs = [c for c in extract_cuts(W) if isinstance(c, AdvPred)]
+    cuts = extract_cuts(W) + [a.negate() for a in acs[:1]] + unread
+    kernel, seen = Workload.split_counts, set()  # seen: the cuts of legal pairs
+
+    def checked(wl, desc, node, boxes, cis):
+        got = kernel(wl, desc, node, boxes, cis)
+        assert np.array_equal(got, split_counts_all_atoms(wl, desc, node, boxes, cis))
+        seen.update(cuts[c] for c in cis)
+        # a cut on a field no atom reads leaves the parent's boxes as they are
+        off = np.array([cuts[c] in unread for c in cis], dtype=bool)
+        held = wl.box_truth(desc[node[off]], boxes)
+        for side in (0, 1):
+            kids = desc[node[off]].restrict(wl.sides[cis[off] + side * len(cuts)])
+            assert np.array_equal(wl.box_truth(kids, boxes), held)
+            assert np.array_equal(got[side][off], wl.n_active(held, boxes))
+        # a node whose range on the cut's column is already empty
+        for col, j in space.num.items():
+            on_col = np.flatnonzero([getattr(c, "attr", None) == col for c in cuts])
+            if not len(on_col):
+                continue
+            empty = desc[np.arange(len(desc))]
+            empty.lo[:, j], empty.hi[:, j] = 1.0, 0.0
+            nodes = np.repeat(np.arange(len(desc)), len(on_col))
+            ci = np.tile(on_col, len(desc))
+            assert np.array_equal(kernel(wl, empty, nodes, boxes, ci),
+                                  split_counts_all_atoms(wl, empty, nodes, boxes, ci))
+        return got
+
+    monkeypatch.setattr(Workload, "split_counts", checked)
+    greedy_qdtree(bd.encoded, bd.schema, cuts, W, bd.b, ac_names=bd.ac_names)
+    assert any(isinstance(c, Pred) and c.op == "in" for c in seen)
+    assert all(c in seen for c in unread)
+    assert all(a.negate() in seen for a in acs[:1])
