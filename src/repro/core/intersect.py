@@ -217,9 +217,7 @@ class Workload:
                 cols[:] = np.where(self.r_strict[k], x < self.r_val[k], x <= self.r_val[k]) \
                     & ~(lo > hi)
             elif kind == 1:
-                ind = self.c_ind[:, k]
-                read = ind.any(axis=1)  # the mask positions these atoms read
-                cols[:] = b.masks[:, self.c_rows[read]].astype(np.float32) @ ind[read] > 0
+                cols[:] = b.masks[:, self.c_rows].astype(np.float32) @ self.c_ind[:, k] > 0
             else:
                 cols[:] = np.where(self.a_neg[k], b.may_false[:, self.a_col[k]],
                                    b.may_true[:, self.a_col[k]])
@@ -348,19 +346,19 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
 
     A field the space lacks raises ``KeyError``, as the walk does.
     """
-    field: dict = {}  # atom -> its field, in order of first appearance
-    boxes: list[tuple[int, tuple]] = []  # (query, the box's atoms)
+    seen: dict = {}  # atom -> its index in order of first appearance
+    boxes: list[tuple[int, list]] = []  # (query, the box's atoms as indices into seen)
     for qi, q in enumerate(queries):
         for conj in _dnf(q):
-            for a in conj:
-                if a not in field:
-                    field[a] = _field(a, space)
-            boxes.append((qi, conj))
-    atoms = sorted(field, key=field.get)  # stable: by field, then first appearance
-    atom_field = np.array([field[a] for a in atoms], dtype=np.int64)
-    k0, k1 = np.searchsorted(atom_field, [len(space.num), len(space.num) + space.width])
+            boxes.append((qi, [seen.setdefault(a, len(seen)) for a in conj]))
+    first = list(seen)
+    field = [_field(a, space) for a in first]
+    order = sorted(range(len(first)), key=field.__getitem__)  # by field, then first appearance
+    atoms = [first[i] for i in order]
+    at = np.argsort(order)  # index into seen -> index into atoms
+    atom_field = np.array([field[j] for j in order], dtype=np.int64)
+    k0, k1 = atom_field.searchsorted([len(space.num), len(space.num) + space.width])
     rng, cat, ac = atoms[:k0], atoms[k0:k1], atoms[k1:]
-    at = {a: i for i, a in enumerate(atoms)}
 
     r_col = np.array([space.num[a.attr] for a in rng], dtype=np.int64)
     r_lo = np.array([a.op in ("<", "<=") for a in rng], dtype=bool)
@@ -370,17 +368,18 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
     reads = []  # per categorical atom, the mask positions of its values
     for a in cat:
         off, card = space.cat[a.attr]
-        vals = a.value if a.op == "in" else frozenset([a.value])
+        vals = a.value if a.op == "in" else (a.value,)
         # index as the walk does: a negative code counts from the end
-        reads.append(off + np.arange(card)[[int(v) for v in vals]])
-    c_rows = np.unique(np.concatenate(reads)) if reads else np.zeros(0, dtype=np.int64)
+        reads.append([off + range(card)[int(v)] for v in vals])
+    row = {p: i for i, p in enumerate(sorted({p for pos in reads for p in pos}))}
+    c_rows = np.array(list(row), dtype=np.int64)
     c_ind = np.zeros((len(c_rows), len(cat)), dtype=np.float32)
     for k, pos in enumerate(reads):
-        c_ind[np.searchsorted(c_rows, pos), k] = 1.0
+        c_ind[[row[p] for p in pos], k] = 1.0
     box_atoms = np.zeros((len(atoms), len(boxes)), dtype=np.float32)
     box_query = np.zeros((len(boxes), len(queries)), dtype=np.float32)
     for k, (qi, box) in enumerate(boxes):
-        box_atoms[[at[a] for a in box], k] = 1.0
+        box_atoms[at[box], k] = 1.0
         box_query[k, qi] = 1.0
     sides = cut_sides(cuts, space) if len(cuts) else None
     return Workload(
