@@ -121,11 +121,11 @@ SCHEMA = TableSchema({
     "b": ColumnSpec("b", NUMERIC, (0.0, 10.0)),
     "c": ColumnSpec("c", CATEGORICAL, (0, 1, 2, 3)),
 })
-ABC_SPACE = Space.of(SCHEMA, ("u",))
+ABC_SPACE = Space.of(SCHEMA, ("u", "v"))
 SPACE = dict(
     ranges={"a": Interval(0.0, 10.0), "b": Interval(0.0, 10.0)},
     masks={"c": np.array([True, True, True, False])},
-    acs={"u": (True, True)},
+    acs={"u": (True, True), "v": (True, True)},
 )
 UP, DOWN = math.nextafter(5.0, math.inf), math.nextafter(5.0, -math.inf)
 
@@ -188,16 +188,17 @@ VALUES = st.sampled_from(
 )
 INTERVALS = st.builds(Interval, VALUES, VALUES)  # lo > hi: an empty interval
 MASKS = st.lists(st.booleans(), min_size=4, max_size=4).map(np.array)
+AC_BITS = st.tuples(st.booleans(), st.booleans())
 DESCS = st.builds(
-    lambda a, b, c, u: Description({"a": a, "b": b}, {"c": c}, {"u": u}),
-    INTERVALS, INTERVALS, MASKS, st.tuples(st.booleans(), st.booleans()),
+    lambda a, b, c, u, v: Description({"a": a, "b": b}, {"c": c}, {"u": u, "v": v}),
+    INTERVALS, INTERVALS, MASKS, AC_BITS, AC_BITS,
 )
 ATOMS = st.one_of(
     st.builds(Pred, st.sampled_from(["a", "b"]), st.sampled_from(["<", "<=", ">", ">="]),
               VALUES),
     st.builds(Pred, st.just("c"), st.just("="), st.integers(0, 3)),
     st.builds(Pred, st.just("c"), st.just("in"), st.frozensets(st.integers(0, 3))),
-    st.builds(AdvPred, st.just("u"), st.just("x"), st.just("<"), st.just("y"),
+    st.builds(AdvPred, st.sampled_from(["u", "v"]), st.just("x"), st.just("<"), st.just("y"),
               st.booleans()),
 )
 QUERIES = st.recursive(

@@ -69,12 +69,12 @@ def test_featurizer_order():
     desc = Description(
         {"x": Interval(2.5, 5.0), "d": Interval(50.0, 150.0)},
         {"k": np.array([True, False, True]), "m": np.array([False, True])},
-        {"u": (True, False)},
+        {"u": (True, False), "v": (True, True)},
     )
-    f = Featurizer(sch, ("u",))
-    v = f(blocks_of([desc], Space.of(sch, ("u",))))
-    assert f.dim == 11
-    assert v.tolist() == [[1, 0, 1, 0.25, 0.5, 0, 1, 0.0, 0.5, 1, 0]]
+    f = Featurizer(sch, ("u", "v"))
+    v = f(blocks_of([desc], Space.of(sch, ("u", "v"))))
+    assert f.dim == 13
+    assert v.tolist() == [[1, 0, 1, 0.25, 0.5, 0, 1, 0.0, 0.5, 1, 0, 1, 1]]
 
 
 def test_trees_respect_sample_min_size(fig3):
