@@ -29,7 +29,7 @@ Pipeline (paper Sec 2.2.2 and 7.3):
    per-feature query sets are disjoint.
 
 Complexity is quadratic in the number of unique vectors (a drawback the
-paper calls out); ``max_unique`` caps it by folding the rarest vectors
+paper calls out); :data:`MAX_UNIQUE` caps it by folding the rarest vectors
 into one overflow block first.
 """
 from __future__ import annotations
@@ -60,12 +60,14 @@ def subsumption(schema: TableSchema, cuts: Sequence, workload: Sequence[Node]) -
     return feats.contains(workload, base), feats.contains(cuts, base)
 
 
+MAX_UNIQUE = 2000  # quadratic-merging safety cap on the unique vectors
+
+
 # ------------------------------------------------------- feature selection
 @dataclass
 class BottomUpConfig:
     max_features: int = 15  # paper: "up to 15 features"
     selectivity_cap: float | None = None  # BU+: 0.10
-    max_unique: int = 2000  # quadratic-merging safety cap
 
 
 def select_features(
@@ -127,10 +129,10 @@ def bottom_up_partition(
         fmat, axis=0, return_inverse=True, return_counts=True
     )
     # cap quadratic merging: fold rarest vectors into one overflow group
-    if len(vecs) > cfg.max_unique:
+    if len(vecs) > MAX_UNIQUE:
         order = np.argsort(-counts)
-        keep = order[: cfg.max_unique - 1]
-        fold = order[cfg.max_unique - 1 :]
+        keep = order[: MAX_UNIQUE - 1]
+        fold = order[MAX_UNIQUE - 1 :]
         remap = np.empty(len(vecs), dtype=np.int64)
         remap[keep] = np.arange(len(keep))
         remap[fold] = len(keep)
@@ -151,9 +153,8 @@ def _merge_blocks(
     vecs: np.ndarray, sizes: np.ndarray, cw: np.ndarray, b: int
 ) -> np.ndarray:
     """Greedy pair merging; returns final block id per initial unique vector."""
-    u = len(vecs)
-    parent = np.arange(u)
-    active = np.ones(u, dtype=bool)
+    group = np.arange(len(vecs))  # each vector's block: the vector it merged into
+    active = np.ones(len(vecs), dtype=bool)
     sizes = sizes.copy()
     vecs = vecs.copy()
     w = vecs @ cw  # w(v_i)
@@ -181,16 +182,8 @@ def _merge_blocks(
         vecs[i] |= vecs[j]
         sizes[i] += sizes[j]
         active[j] = False
-        parent[j] = i
+        group[group == j] = i
         w[i] = vecs[i] @ cw
         wa[i, :] = (vecs * cw) @ vecs[i]
         wa[:, i] = wa[i, :]
-
-    # path-compress parents to final roots
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    return np.array([root(i) for i in range(u)], dtype=np.int64)
+    return group

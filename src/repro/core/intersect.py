@@ -1,17 +1,18 @@
 """Descriptions as arrays, and their intersection with queries (Sec 3.3,
 4, 5, Eq. 1).
 
-:class:`Blocks` holds semantic descriptions (Table 1) as rows: a closed
-range ``[lo, hi]`` per numeric column (empty iff ``lo > hi``; a strict
-bound ``x < v`` is stored as ``hi = nextafter(v, -inf)``), the categorical
-masks side by side (bit 0: that value is absent), and the may-true /
-may-false bits of every advanced cut (AC), in the one column layout
-:meth:`Space.of` gives a schema. It is the only description type: a tree
-node holds one row, which :meth:`Blocks.restrict` intersects with both
-sides of a cut to give the children, each side itself a row of the bounds
-and bits it keeps, and block stats and overlap regions are rows too. The
-tests hold these arrays to a per-description walk of a query's AND/OR
-tree, their reference.
+:class:`Blocks` holds semantic descriptions (Table 1) as rows of ranges
+plus one mask row. A *field* is a numeric column or a mask group: a
+categorical column or an advanced cut (AC). A numeric column has a closed
+range ``[lo, hi]`` (empty iff ``lo > hi``; a strict bound ``x < v`` is
+stored as ``hi = nextafter(v, -inf)``); a mask group a bit per value (0:
+absent), an AC being the two values (may-true, may-false). Only
+:meth:`Space.of` knows this layout. It is the only description type: a
+tree node holds one row, which :meth:`Blocks.restrict` intersects with
+both sides of a cut to give the children, each side itself a row of the
+bounds and bits it keeps, and block stats and overlap regions are rows
+too. The tests hold these arrays to a per-description walk of a query's
+AND/OR tree, their reference.
 Greedy's gain, WOODBLOCK's active queries, Table-2 scoring and query
 routing all ask whether a block may hold a row matching a query; this
 module answers it for every pair at once:
@@ -20,9 +21,9 @@ module answers it for every pair at once:
   predicates, and *boxes*, the conjunctions of each query's disjunctive
   normal form, with a box → query map;
 * :meth:`Workload.box_truth` tests every (description, atom) pair on its
-  own field — a range atom its interval, a categorical atom its mask, an
-  AC atom one bit — and reduces atom truth to boxes with a float32
-  matmul; a second matmul reduces boxes to queries;
+  own field — a range atom its interval, a mask atom its group's bits (a
+  categorical atom its values', an AC atom one) — and reduces atom truth
+  to boxes with a float32 matmul; a second matmul reduces boxes to queries;
 * :meth:`Blocks.contains` (by :meth:`Workload.inside`) answers the
   converse for overlap's redundancy pruning and Bottom-Up's subsumption:
   does every row of a one-row base that matches the query lie inside the
@@ -41,9 +42,8 @@ The compiled workload also carries both sides of every candidate cut
 tree construction restricts a whole level's children in one batch, and
 Greedy gets the active-query counts of both children of every legal cut
 of a level in one call (:meth:`Workload.split_counts`), tested only
-against the boxes the level's parents intersect. A *field* is a numeric
-column, a categorical column or an AC; atoms are ordered by field, and
-every atom and cut knows its field (``Workload.atom_field``,
+against the boxes the level's parents intersect. Atoms are ordered by
+field, and every atom and cut knows its field (``Workload.atom_field``,
 ``Workload.cut_field``). A restriction never makes an atom true, and a cut
 changes only the atoms on its own field, so a box holds in a child iff it
 holds in the parent and the child's atoms on the cut's field hold.
@@ -69,45 +69,41 @@ class Space:
 
     num: dict  # numeric column -> index into lo/hi
     cat: dict  # categorical column -> (offset, cardinality) in a mask row
-    ac: dict  # AC name -> index into may_true/may_false
-    width: int  # Σ cardinalities: the length of a mask row
+    ac: dict  # AC name -> offset of its (may-true, may-false) pair in a mask row
+    width: int  # the length of a mask row: Σ cardinalities + 2 per AC
 
     @staticmethod
     def of(schema: TableSchema, ac_names: Sequence[str] = ()) -> "Space":
-        """Numeric and date columns in schema order, then the categorical
-        masks side by side in schema order, then the ACs."""
+        """Numeric and date columns in schema order; in a mask row, the
+        categorical masks in schema order, then each AC's pair."""
         cat, off = {}, 0
         for name in schema.categorical_cols:
             cat[name] = (off, schema[name].cardinality)
             off += schema[name].cardinality
         return Space({c: j for j, c in enumerate(schema.numeric_cols)}, cat,
-                     {a: j for j, a in enumerate(ac_names)}, off)
+                     {a: off + 2 * j for j, a in enumerate(ac_names)}, off + 2 * len(ac_names))
 
 
 @dataclass
 class Blocks:
-    """Descriptions as arrays, one row per description (an empty range is
-    ``lo > hi``)."""
+    """Descriptions as arrays, one row per description: the ranges (an
+    empty range is ``lo > hi``) and the mask row (see :class:`Space`)."""
 
     space: Space
     lo: np.ndarray  # (n, numeric columns) float64
     hi: np.ndarray
-    masks: np.ndarray  # (n, Σ cardinalities) bool
-    may_true: np.ndarray  # (n, ACs) bool
-    may_false: np.ndarray
+    masks: np.ndarray  # (n, space.width) bool
 
     @staticmethod
     def full(space: Space, n: int = 1) -> "Blocks":
-        """``n`` rows that keep everything: unbounded ranges, all-ones masks
-        and (True, True) AC bits."""
+        """``n`` rows that keep everything: unbounded ranges, all-ones masks."""
         inf = np.full((n, len(space.num)), np.inf)
-        bits = [np.ones((n, w), dtype=bool) for w in (space.width, len(space.ac), len(space.ac))]
-        return Blocks(space, -inf, inf, *bits)
+        return Blocks(space, -inf, inf, np.ones((n, space.width), dtype=bool))
 
     @staticmethod
     def root(schema: TableSchema, ac_names: Sequence[str] = ()) -> "Blocks":
         """The whole-table description as one row: each numeric column's
-        schema domain, all-ones masks and (True, True) AC bits."""
+        schema domain, all-ones masks."""
         out = Blocks.full(Space.of(schema, ac_names))
         dom = np.array([schema[c].domain for c in out.space.num], dtype=float)
         out.lo[0], out.hi[0] = dom.reshape(-1, 2).T
@@ -120,7 +116,7 @@ class Blocks:
 
     @property
     def _arrays(self) -> tuple:
-        return self.lo, self.hi, self.masks, self.may_true, self.may_false
+        return self.lo, self.hi, self.masks
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -138,8 +134,6 @@ class Blocks:
             np.maximum(self.lo, sides.lo),
             np.minimum(self.hi, sides.hi),
             self.masks & sides.masks,
-            self.may_true & sides.may_true,
-            self.may_false & sides.may_false,
         )
 
     def intersects(self, queries: Sequence) -> np.ndarray:
@@ -174,8 +168,8 @@ def _dnf(q) -> list[tuple]:
 class Workload:
     """Compiled queries, and optionally the effects of candidate cuts.
 
-    Atoms are ordered by the field they read: range atoms, then categorical
-    atoms, then AC atoms, so the atoms of one field are one slice.
+    Atoms are ordered by the field they read: range atoms, then mask atoms
+    (categorical, then AC), so the atoms of one field are one slice.
     """
 
     space: Space
@@ -184,10 +178,8 @@ class Workload:
     r_lo: np.ndarray  # tests lo (< and <=), else hi (> and >=)
     r_strict: np.ndarray  # < or >
     r_val: np.ndarray  # v for a lo test, -v for a hi test
-    c_rows: np.ndarray  # mask positions the categorical atoms read
-    c_ind: np.ndarray  # (c_rows, categorical atoms) float32 indicator
-    a_col: np.ndarray  # per AC atom: AC index
-    a_neg: np.ndarray  # negated AC: reads may_false
+    m_rows: np.ndarray  # mask positions the mask atoms read
+    m_ind: np.ndarray  # (m_rows, mask atoms) float32 indicator
     box_atoms: np.ndarray  # (atoms, boxes) float32: atom in box
     box_query: np.ndarray  # (boxes, queries) float32: box of query
     box_q: np.ndarray  # (boxes,) query of each box, ascending
@@ -204,23 +196,17 @@ class Workload:
         atom kind the slice lacks is not computed."""
         start, stop, _ = atoms.indices(len(self.atoms))
         out = np.empty((len(b), stop - start), dtype=bool)
-        n_rng, n_cat = len(self.r_col), self.c_ind.shape[1]
-        kinds = ((0, n_rng), (n_rng, n_rng + n_cat), (n_rng + n_cat, len(self.atoms)))
-        for kind, (s, e) in enumerate(kinds):
-            a, z = max(s, start), min(e, stop)  # this kind's atoms in the slice
-            if a >= z:
-                continue
-            cols, k = out[:, a - start:z - start], slice(a - s, z - s)
-            if kind == 0:
-                lo, hi = b.lo[:, self.r_col[k]], b.hi[:, self.r_col[k]]
-                x = np.where(self.r_lo[k], lo, -hi)
-                cols[:] = np.where(self.r_strict[k], x < self.r_val[k], x <= self.r_val[k]) \
-                    & ~(lo > hi)
-            elif kind == 1:
-                cols[:] = b.masks[:, self.c_rows].astype(np.float32) @ self.c_ind[:, k] > 0
-            else:
-                cols[:] = np.where(self.a_neg[k], b.may_false[:, self.a_col[k]],
-                                   b.may_true[:, self.a_col[k]])
+        n = len(self.r_col)  # range atoms come first, then mask atoms
+        m = max(min(stop, n) - start, 0)  # the slice's range atoms
+        if m:
+            k = slice(start, start + m)
+            lo, hi = b.lo[:, self.r_col[k]], b.hi[:, self.r_col[k]]
+            x = np.where(self.r_lo[k], lo, -hi)
+            out[:, :m] = np.where(self.r_strict[k], x < self.r_val[k], x <= self.r_val[k]) \
+                & ~(lo > hi)
+        if stop - start > m:
+            k = slice(max(start, n) - n, stop - n)
+            out[:, m:] = b.masks[:, self.m_rows].astype(np.float32) @ self.m_ind[:, k] > 0
         return out
 
     def box_truth(self, b: Blocks, boxes=slice(None)) -> np.ndarray:
@@ -242,12 +228,12 @@ class Workload:
         reg = base[np.zeros(self.box_atoms.shape[1], dtype=np.int64)]
         np.maximum.at(reg.lo, box, sides.lo)
         np.minimum.at(reg.hi, box, sides.hi)
-        for r, s in zip(reg._arrays[2:], sides._arrays[2:]):
-            np.logical_and.at(r, box, s)
-        starts = [off for off, _ in self.space.cat.values()]  # one mask group per column
-        empty = ((reg.lo > reg.hi).any(axis=1) | ~(reg.may_true | reg.may_false).all(axis=1)
+        np.logical_and.at(reg.masks, box, sides.masks)
+        # one mask group per categorical column and per AC
+        starts = [off for off, _ in self.space.cat.values()] + list(self.space.ac.values())
+        empty = ((reg.lo > reg.hi).any(axis=1)
                  | (np.add.reduceat(reg.masks, starts, axis=1) == 0).any(axis=1))
-        bits = [np.concatenate(x._arrays[2:], axis=1).astype(np.float32) for x in (reg, b)]
+        bits = [x.masks.astype(np.float32) for x in (reg, b)]
         subset = bits[0] @ (1 - bits[1]).T == 0  # (boxes, blocks): no bit the block lacks
         held = ((b.lo[:, None] <= reg.lo) & (reg.hi <= b.hi[:, None])).all(axis=2) & subset.T
         return (~(held | empty)).astype(np.float32) @ self.box_query == 0
@@ -312,15 +298,16 @@ def cut_sides(cuts: Sequence, space: Space) -> Blocks:
     row c where cut c holds and row ``len(cuts) + c`` where it does not."""
     n = len(cuts)
     out = Blocks.full(space, 2 * n)
-    lo, hi, keep, keep_t, keep_f = out._arrays
+    lo, hi, keep = out._arrays
     for i, cut in enumerate(cuts):
-        if isinstance(cut, Pred) and cut.op in ("=", "in"):
-            off, card = space.cat[cut.attr]
-            vals = cut.value if cut.op == "in" else frozenset([cut.value])
-            sel = np.zeros(card, dtype=bool)
-            sel[[int(v) for v in vals]] = True
-            keep[i, off:off + card], keep[n + i, off:off + card] = sel, ~sel
-        elif isinstance(cut, Pred):
+        if not isinstance(cut, (Pred, AdvPred)):
+            raise TypeError(f"cannot restrict by {cut!r}")
+        leaf = _mask_leaf(cut, space)
+        if leaf is not None:
+            off, w, pos = leaf
+            keep[i, off:off + w] = False
+            keep[i, pos], keep[n + i, pos] = True, False
+        else:
             j, v = space.num[cut.attr], float(cut.value)
             # the lower side keeps x <= top, the upper side x >= bottom; a
             # strict bound is the adjacent float, exact for every float64
@@ -331,13 +318,6 @@ def cut_sides(cuts: Sequence, space: Space) -> Blocks:
                 top, bottom = v, math.nextafter(v, math.inf)
             lower, upper = (i, n + i) if cut.op in ("<", "<=") else (n + i, i)
             hi[lower, j], lo[upper, j] = top, bottom
-        elif isinstance(cut, AdvPred):
-            j = space.ac[cut.name]
-            # the side where the positive AC holds may not be false
-            pos, neg = (n + i, i) if cut.negated else (i, n + i)
-            keep_f[pos, j], keep_t[neg, j] = False, False
-        else:
-            raise TypeError(f"cannot restrict by {cut!r}")
     return out
 
 
@@ -357,25 +337,20 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
     atoms = [first[i] for i in order]
     at = np.argsort(order)  # index into seen -> index into atoms
     atom_field = np.array([field[j] for j in order], dtype=np.int64)
-    k0, k1 = atom_field.searchsorted([len(space.num), len(space.num) + space.width])
-    rng, cat, ac = atoms[:k0], atoms[k0:k1], atoms[k1:]
+    k0 = atom_field.searchsorted(len(space.num))
+    rng, msk = atoms[:k0], atoms[k0:]
 
     r_col = np.array([space.num[a.attr] for a in rng], dtype=np.int64)
     r_lo = np.array([a.op in ("<", "<=") for a in rng], dtype=bool)
     r_strict = np.array([a.op in ("<", ">") for a in rng], dtype=bool)
     r_val = np.array([float(a.value) for a in rng], dtype=float)
     r_val[~r_lo] *= -1
-    reads = []  # per categorical atom, the mask positions of its values
-    for a in cat:
-        off, card = space.cat[a.attr]
-        vals = a.value if a.op == "in" else (a.value,)
-        # index as the walk does: a negative code counts from the end
-        reads.append([off + range(card)[int(v)] for v in vals])
+    reads = [_mask_leaf(a, space)[2] for a in msk]  # the mask positions where each holds
     row = {p: i for i, p in enumerate(sorted({p for pos in reads for p in pos}))}
-    c_rows = np.array(list(row), dtype=np.int64)
-    c_ind = np.zeros((len(c_rows), len(cat)), dtype=np.float32)
+    m_rows = np.array(list(row), dtype=np.int64)
+    m_ind = np.zeros((len(m_rows), len(msk)), dtype=np.float32)
     for k, pos in enumerate(reads):
-        c_ind[[row[p] for p in pos], k] = 1.0
+        m_ind[[row[p] for p in pos], k] = 1.0
     box_atoms = np.zeros((len(atoms), len(boxes)), dtype=np.float32)
     box_query = np.zeros((len(boxes), len(queries)), dtype=np.float32)
     for k, (qi, box) in enumerate(boxes):
@@ -383,9 +358,7 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
         box_query[k, qi] = 1.0
     sides = cut_sides(cuts, space) if len(cuts) else None
     return Workload(
-        space, len(queries), r_col, r_lo, r_strict, r_val, c_rows, c_ind,
-        np.array([space.ac[a.name] for a in ac], dtype=np.int64),
-        np.array([a.negated for a in ac], dtype=bool),
+        space, len(queries), r_col, r_lo, r_strict, r_val, m_rows, m_ind,
         box_atoms, box_query, np.array([qi for qi, _ in boxes], dtype=np.int64),
         tuple(atoms), atom_field, sides,
         np.array([_field(c, space) for c in cuts], dtype=np.int64),
@@ -394,10 +367,22 @@ def compile_workload(queries: Sequence, space: Space, cuts: Sequence = ()) -> Wo
 
 def _field(p, space: Space) -> int:
     """The field the leaf predicate ``p`` reads: numeric columns first, in
-    :class:`Space` order, then each categorical column by its mask offset,
-    then the ACs. A field the space lacks raises ``KeyError``."""
+    :class:`Space` order, then each mask group by its offset in the mask
+    row. A field the space lacks raises ``KeyError``."""
+    leaf = _mask_leaf(p, space)
+    return space.num[p.attr] if leaf is None else len(space.num) + leaf[0]
+
+
+def _mask_leaf(p, space: Space) -> tuple[int, int, list[int]] | None:
+    """A mask leaf's group, as (offset, width) in the mask row, and the mask
+    positions where it holds: a categorical leaf's codes (indexed as the
+    walk does: a negative code counts from the end), an AC's may-true bit
+    or, negated, its may-false bit. ``None`` for a range leaf."""
     if isinstance(p, AdvPred):
-        return len(space.num) + space.width + space.ac[p.name]
-    if p.op in ("=", "in"):
-        return len(space.num) + space.cat[p.attr][0]
-    return space.num[p.attr]
+        off = space.ac[p.name]
+        return off, 2, [off + p.negated]
+    if p.op not in ("=", "in"):
+        return None
+    off, card = space.cat[p.attr]
+    vals = p.value if p.op == "in" else (p.value,)
+    return off, card, [off + range(card)[int(v)] for v in vals]

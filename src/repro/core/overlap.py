@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 import pandas as pd
 
-from .intersect import Blocks
+from .intersect import Blocks, compile_workload
 from .predicates import Node
 from .qdtree import Layout, QdTree, block_stats
 
@@ -39,10 +39,9 @@ from .qdtree import Layout, QdTree, block_stats
 def are_neighbors(a: Blocks, b: Blocks) -> np.ndarray:
     """Per row pair (a one-row side broadcasts): hypercubes sharing N−1
     dimension boundaries, adjacent in the last (paper's neighbor
-    definition); categorical masks and AC bits must match. Adjacent means
+    definition); the mask rows must match. Adjacent means
     that no float lies between the two ranges: ``[x, v)`` then ``[v, y]``."""
-    same = ((a.masks == b.masks).all(axis=1) & (a.may_true == b.may_true).all(axis=1)
-            & (a.may_false == b.may_false).all(axis=1))
+    same = (a.masks == b.masks).all(axis=1)
     differ = (a.lo != b.lo) | (a.hi != b.hi)
     adjacent = (np.nextafter(a.hi, np.inf) == b.lo) | (np.nextafter(b.hi, np.inf) == a.lo)
     return same & (differ.sum(axis=1) == 1) & (differ & adjacent).any(axis=1)
@@ -69,15 +68,16 @@ class OverlapLayout:
         redundancy pruning: if some candidate's complete region covers the
         whole query region, that candidate alone suffices — scan the
         smallest such block (Sec 6.2.1). Covering is the kernel's sound
-        containment test over the root row the layout keeps."""
-        cands = self.stats.query_bids(q)
+        containment test over the root row the layout keeps. One compiled
+        query serves both tests, as the stats share the regions' space."""
+        wl = compile_workload([q], self.stats.blocks.space)
+        cands = np.flatnonzero(wl.intersects(self.stats.blocks)[:, 0])
         if len(cands) < 2:  # nothing to prune
-            return cands
-        covered = self.regions[cands].contains([q], self.root)[:, 0]
-        covering = [b for b, ok in zip(cands, covered) if ok]
-        if covering:
-            return [min(covering, key=lambda b: self.stats.sizes[b])]
-        return cands
+            return cands.tolist()
+        covering = cands[wl.inside(self.regions[cands], self.root)[:, 0]]
+        if len(covering):
+            return [int(covering[np.argmin(self.stats.sizes[covering])])]
+        return cands.tolist()
 
     def tuples_accessed(self, workload: Sequence[Node]) -> int:
         return sum(int(self.stats.sizes[self.query_blocks(q)].sum()) for q in workload)
@@ -92,7 +92,8 @@ def build_overlap_layout(
     leaf's original description and its region as grown so far: a region
     grown along one column and then another would otherwise claim the
     corner between them, which no block holds. Min-max stats are then
-    computed from each block's final rows."""
+    computed from each block's final rows, with the ACs ``acs`` names;
+    they must be the tree's ACs, in order, or ``ValueError`` is raised."""
     bids = tree.route(encoded)
     leaves = tree.blocks
     regions = leaves[np.arange(len(leaves))]  # a copy, widened in place
@@ -112,4 +113,6 @@ def build_overlap_layout(
         np.repeat(np.arange(len(rows)), [len(r) for r in rows]),
         tree.schema, acs or {}, len(rows),
     )
+    if stats.blocks.space != regions.space:
+        raise ValueError("acs must name the tree's ACs, in the tree's order")
     return OverlapLayout(regions, rows, stats, extra, tree.desc[:1])

@@ -119,7 +119,7 @@ class QdTree:
 
 @dataclass
 class Layout:
-    """Block metadata of a layout: per block, the min-max + mask + AC-bit
+    """Block metadata of a layout: per block, the min-max + mask
     description of its rows (``blocks``, as arrays) and its row count
     (``sizes``). Table 2 scores, and routed Spark reads prune, by these
     stats (Sec 3.2).
@@ -172,11 +172,7 @@ def block_stats(
     masks = np.zeros((n_blocks, space.width), dtype=bool)
     for name, (off, _) in space.cat.items():
         masks[bids, off + encoded[name].to_numpy().astype(int)] = True
-    may_true = np.zeros((n_blocks, len(acs)), dtype=bool)
-    may_false = np.zeros((n_blocks, len(acs)), dtype=bool)
-    preds = list(acs.values())
-    sides = eval_masks(preds + [p.negate() for p in preds], encoded)
-    for j in range(len(preds)):
-        may_true[bids[sides[j]], j] = True
-        may_false[bids[sides[len(preds) + j]], j] = True
-    return Layout(Blocks(space, lo, hi, masks, may_true, may_false), sizes)
+    for off, ac in zip(space.ac.values(), acs.values()):
+        for s, side in enumerate(eval_masks([ac, ac.negate()], encoded)):  # may-true, may-false
+            masks[bids[side], off + s] = True
+    return Layout(Blocks(space, lo, hi, masks), sizes)

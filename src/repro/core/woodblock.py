@@ -66,10 +66,10 @@ class Featurizer:
 
     def __post_init__(self):
         sp = Space.of(self.schema, self.ac_names)
-        k, w, a = len(sp.num), sp.width, len(sp.ac)
+        k = len(sp.num)
         dom = np.array([self.schema[c].domain for c in sp.num], dtype=float).reshape(k, 2)
         self._lo, self._span = dom[:, 0], np.maximum(dom[:, 1] - dom[:, 0], 1e-12)
-        # stacked fields: lo (k), hi (k), masks (w), may_true (a), may_false (a)
+        # stacked fields: lo (k), hi (k), the mask row (the AC pairs at its tail)
         order = []
         for name in self.schema.columns:
             if name in sp.num:
@@ -77,7 +77,7 @@ class Featurizer:
             else:
                 off, card = sp.cat[name]
                 order += range(2 * k + off, 2 * k + off + card)
-        order += [2 * k + w + j + s for j in range(a) for s in (0, a)]
+        order += [2 * k + off + s for off in sp.ac.values() for s in (0, 1)]
         self._order = np.array(order, dtype=np.int64)
         self.dim = len(order)
 
@@ -85,8 +85,7 @@ class Featurizer:
         """(rows, dim) float64: the state of each row of ``b``."""
         lo = np.clip((b.lo - self._lo) / self._span, 0.0, 1.0)
         hi = np.clip((b.hi - self._lo) / self._span, 0.0, 1.0)
-        return np.concatenate([lo, hi, b.masks, b.may_true, b.may_false], axis=1,
-                              dtype=np.float64)[:, self._order]
+        return np.concatenate([lo, hi, b.masks], axis=1, dtype=np.float64)[:, self._order]
 
 
 # PPO settings (paper defaults scaled down). The hidden width (128), clip

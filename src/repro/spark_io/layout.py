@@ -49,9 +49,9 @@ def open_layout(spark: SparkSession, path: str) -> DataFrame:
     A process holds one entry per layout path.
 
     Contract: the held DataFrame keeps the file listing it was opened with,
-    so every writer in ``spark_io`` drops the path's entry before it writes
-    (:func:`write_tree_layout`, :func:`write_bid_layout`, and any future
-    writer, such as an append into existing blocks)."""
+    so every writer in ``spark_io`` drops the path's entry before it writes:
+    each writes through :func:`_write_blocks`, as should any future one,
+    such as an append into existing blocks."""
     key = os.path.abspath(path)
     df = _OPEN.get(key)
     if df is None or df.sparkSession is not spark:
@@ -77,14 +77,7 @@ def write_tree_layout(
 ) -> None:
     """Route every row through the qd-tree (pure Catalyst expression) and
     persist each block as one Parquet file in its ``bid=`` directory."""
-    _OPEN.pop(os.path.abspath(path), None)
-    (
-        raw_df.withColumn("bid", tree.routing_column())
-        .repartition("bid")
-        .write.mode("overwrite")
-        .partitionBy("bid")
-        .parquet(path)
-    )
+    _write_blocks(raw_df.withColumn("bid", tree.routing_column()), path)
 
 
 def write_bid_layout(
@@ -96,8 +89,12 @@ def write_bid_layout(
 ) -> None:
     """Persist a layout from a precomputed row→BID assignment, one Parquet
     file per block."""
+    _write_blocks(spark_df_from_raw(spark, raw.assign(bid=bids), schema), path)
+
+
+def _write_blocks(df: DataFrame, path: str) -> None:
+    """Drop ``path``'s open DataFrame, then write ``df`` there, one Parquet file per ``bid``."""
     _OPEN.pop(os.path.abspath(path), None)
-    df = spark_df_from_raw(spark, raw.assign(bid=bids), schema)
     df.repartition("bid").write.mode("overwrite").partitionBy("bid").parquet(path)
 
 

@@ -1,8 +1,10 @@
 """The tests' reference for semantic descriptions (paper Table 1, Sec 6.1).
 
 The program holds every description as a row of
-:class:`repro.core.intersect.Blocks`. This module is the independent,
-one-description-at-a-time form the tests hold those arrays to:
+:class:`repro.core.intersect.Blocks`: ranges plus one mask row, where a
+field is a numeric column or a mask group, a categorical column or an AC.
+This module is the independent, one-description-at-a-time form the tests
+hold those arrays to, with each kind of field apart:
 
 * ``ranges`` — per numeric/date column, a closed :class:`Interval`
   ``[lo, hi]`` (the paper's ``n.range`` hypercube); a strict cut ``x < v``
@@ -206,16 +208,13 @@ def blocks_of(descs: Sequence[Description], space: Space) -> Blocks:
     """The descriptions as the rows of one :class:`Blocks`."""
     n = len(descs)
     ranges = [[d.ranges[c] for c in space.num] for d in descs]
-    acs = np.array([[d.acs[a] for a in space.ac] for d in descs], dtype=bool)
-    acs = acs.reshape(n, len(space.ac), 2)
     return Blocks(
         space,
         np.array([[iv.lo for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
         np.array([[iv.hi for iv in r] for r in ranges], dtype=float).reshape(n, len(space.num)),
-        np.array([np.concatenate([d.masks[c] for c in space.cat] or [[]])
+        np.array([np.concatenate([d.masks[c] for c in space.cat]
+                                 + [d.acs[a] for a in space.ac] or [[]])
                   for d in descs], dtype=bool).reshape(n, space.width),
-        acs[:, :, 0],
-        acs[:, :, 1],
     )
 
 
@@ -227,8 +226,8 @@ def descriptions(blocks: Blocks) -> list[Description]:
             {c: Interval(float(blocks.lo[b, j]), float(blocks.hi[b, j]))
              for c, j in space.num.items()},
             {c: blocks.masks[b, off:off + card] for c, (off, card) in space.cat.items()},
-            {a: (bool(blocks.may_true[b, j]), bool(blocks.may_false[b, j]))
-             for a, j in space.ac.items()},
+            {a: (bool(blocks.masks[b, off]), bool(blocks.masks[b, off + 1]))
+             for a, off in space.ac.items()},
         )
         for b in range(len(blocks))
     ]

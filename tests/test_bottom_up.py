@@ -194,10 +194,10 @@ def test_bids_contiguous(small):
     assert res.n_blocks == len(u)
 
 
-def test_max_unique_cap(small):
+def test_max_unique_cap(small, monkeypatch):
     enc, sch, W = small
-    cfg = BottomUpConfig(max_unique=3)
-    res = bottom_up_partition(enc, sch, extract_cuts(W), W, b=150, cfg=cfg)
+    monkeypatch.setattr(bottom_up, "MAX_UNIQUE", 3)
+    res = bottom_up_partition(enc, sch, extract_cuts(W), W, b=150)
     sizes = np.bincount(res.bids)
     assert sizes.sum() == len(enc)
     assert (sizes >= 150).all() or len(sizes) == 1

@@ -162,6 +162,18 @@ def test_overlap_pinned(name, bundle, request):
     assert got == _PINNED_OVERLAP[name]
 
 
+def test_overlap_rejects_acs_other_than_the_trees(tpch_bundle, tpch_tree):
+    """A query is compiled once for the stats and the regions, so the stats
+    must share the tree's space: no ACs, or the tree's ACs in another
+    order, is refused."""
+    bd = tpch_bundle
+    for acs in ({}, dict(reversed(bd.acs.items()))):
+        with pytest.raises(ValueError):
+            build_overlap_layout(tpch_tree, bd.encoded, 150, acs=acs)
+    layout = build_overlap_layout(tpch_tree, bd.encoded, 150, acs=bd.acs)
+    assert layout.stats.blocks.space == layout.regions.space
+
+
 # ------------------------------------------------------------- neighbors
 def _desc2d(x: Interval, y: Interval, sch):
     d = Description.root(sch)

@@ -192,8 +192,7 @@ def test_null_ac_sets_neither_bit():
     sch = infer_schema(raw)
     ac = AdvPred("xy", "x", "<", "y")
     layout = block_stats(sch.encode(raw), np.array([0, 1]), sch, {"xy": ac}, 2)
-    assert layout.blocks.may_true.tolist() == [[True], [False]]
-    assert layout.blocks.may_false.tolist() == [[False], [False]]
+    assert layout.blocks.masks.tolist() == [[True, False], [False, False]]  # (may-true, may-false)
     assert layout.query_bids(ac) == [0]
     assert layout.query_bids(ac.negate()) == []
     con = duckdb.connect()
