@@ -92,8 +92,8 @@ def build_overlap_layout(
     leaf's original description and its region as grown so far: a region
     grown along one column and then another would otherwise claim the
     corner between them, which no block holds. Min-max stats are then
-    computed from each block's final rows, with the ACs ``acs`` names;
-    they must be the tree's ACs, in order, or ``ValueError`` is raised."""
+    computed from each block's final rows, over the ACs in ``acs``, which
+    must be the tree's ACs in the tree's order (else ``ValueError``)."""
     bids = tree.route(encoded)
     leaves = tree.blocks
     regions = leaves[np.arange(len(leaves))]  # a copy, widened in place
