@@ -12,11 +12,10 @@ Three leaf forms (Sec 3, 6.1 of the paper):
 
 Every node supports vectorised evaluation over an encoded pandas frame
 and compilation to SQL text in *raw* literal space (:func:`to_sql`): the
-one compiler for Spark's routed reads, the tree's ``CASE`` routing
-expression and the DuckDB oracle. :func:`eval_masks` is the one row
-kernel: it evaluates many trees over one frame, each distinct leaf once
-(:func:`atom_mask`), and serves the cut matrix, layout scoring, block
-stats and numpy routing; :func:`eval_mask` is its one-node case. The
+one compiler for Spark's routed reads and the DuckDB oracle.
+:func:`eval_masks` is the one row kernel: it evaluates many trees over one
+frame, each distinct leaf once (:func:`atom_mask`), and serves the cut
+matrix, layout scoring, block stats and numpy routing; :func:`eval_mask` is its one-node case. The
 tests hold it to DuckDB over ``to_sql`` for whole workloads. A NULL (NaN)
 value satisfies no leaf, a negated AC included, as in SQL, where
 ``NOT(x < y)`` is NULL when ``x`` is.

@@ -8,16 +8,13 @@ left-to-right — the block ID (BID) that the dataset is physically
 partitioned by. Nothing recurses, so a tree of any depth builds, routes in
 numpy and pickles.
 
-Data routing is exposed three ways:
-
-* :meth:`QdTree.route` — vectorised over an *encoded* pandas frame (numpy
-  masks per node), the path used during construction and for throughput
-  benchmarks;
-* :meth:`QdTree.routing_column` — a native Catalyst ``Column`` (one nested
-  SQL ``CASE WHEN``) over the *raw* frame, used to add the ``bid`` column
-  for ``df.write.partitionBy("bid")`` — no UDFs;
-* the same expression doubles as the partitioning *function* required by
-  Problem 2 (new tuples route without reshuffling).
+Data routing has one implementation, :meth:`QdTree.route`, vectorised over
+an *encoded* pandas frame (numpy masks per node). Construction, scoring and
+the throughput benchmark call it on the driver;
+:func:`~repro.spark_io.layout.write_tree_layout` runs it on Spark's
+executors, one Arrow batch at a time, to add the ``bid`` column that the
+layout is partitioned by. It is also the partitioning *function* of
+Problem 2: new tuples route where they are, without reshuffling.
 
 The node descriptions are the rows of one :class:`~.intersect.Blocks`,
 restricted a level at a time during construction. Query routing
@@ -36,7 +33,7 @@ import pandas as pd
 
 from .intersect import Blocks, Space
 from .predicates import Node as QueryNode
-from .predicates import atom_mask, eval_masks, to_sql
+from .predicates import atom_mask, eval_masks
 from .schema import TableSchema
 
 
@@ -93,23 +90,6 @@ class QdTree:
             m = atom_mask(self.cuts[ci], lambda name: cols[name][idx])
             rows[j], rows[j + 1] = idx[m], idx[~m]
         return bids
-
-    def routing_column(self):
-        """Catalyst expression computing the BID for each raw row: one
-        nested ``CASE WHEN <cut> THEN <left> ELSE <right> END`` string,
-        built from the leaves up and parsed once. A NULL cut goes ``ELSE``
-        (right), as in :meth:`route`. Spark's parser takes trees of depth
-        200 and fails at depth 400; a form for deeper trees is still open
-        (ROADMAP, "Write trees of any depth")."""
-        from pyspark.sql import functions as F
-
-        sql = [str(b) for b in self.bid.tolist()]
-        for i in reversed(np.flatnonzero(self.cut >= 0).tolist()):
-            j = int(self.left[i])
-            sql[i] = (f"CASE WHEN {to_sql(self.cuts[self.cut[i]], self.schema)} "
-                      f"THEN {sql[j]} ELSE {sql[j + 1]} END")
-            sql[j] = sql[j + 1] = ""  # held inside sql[i] now
-        return F.expr(sql[0])
 
     # ------------------------------------------------------------- queries
     def query_bids(self, query: QueryNode) -> list[int]:

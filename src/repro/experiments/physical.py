@@ -10,7 +10,8 @@ the workload three ways —
 * ``qdtree-noroute`` — qd-tree layout, engine-native pruning only,
 * ``baseline`` — the comparison layout (random / range / Bottom-Up).
 
-Each query runs as a count+sum aggregate (forces actual column reads).
+Each query runs as a count+sum aggregate (forces actual column reads) in
+each mode; the mode that goes first rotates from query to query.
 Reported per template: mean wall-clock and tuples resident in the scanned
 blocks (the logical I/O the paper's speedups track). A ``qdtree``-mode
 query that scans other than its routed blocks, or other than one file per
@@ -86,12 +87,12 @@ def run_physical(
     per_template: dict = defaultdict(lambda: defaultdict(list))
     rows_routed: dict = defaultdict(int)
 
-    reads = {"qdtree": (tree_path, layout), "qdtree-noroute": (tree_path, None),
-             "baseline": (base_path, None)}  # mode -> (layout path, router)
+    reads = [("qdtree", tree_path, layout), ("qdtree-noroute", tree_path, None),
+             ("baseline", base_path, None)]  # (mode, layout path, router)
     for path in (tree_path, base_path):  # before the clock: modes share the tree's path
         open_layout(spark, path)
     for q in queries:
-        for mode, (path, router) in reads.items():
+        for mode, path, router in reads:
             t0 = time.perf_counter()
             df = read_routed(spark, path, q.ast, bundle.schema, tree=router)
             agg = df.agg(F.count(F.lit(1)).alias("cnt"), F.sum(probe).alias("s"))
@@ -104,6 +105,7 @@ def run_physical(
                     raise RuntimeError(f"{q.template}: scanned {scanned} blocks, routed {routed}")
                 if files != scanned:
                     raise RuntimeError(f"{q.template}: scanned {files} files in {scanned} blocks")
+        reads.append(reads.pop(0))  # the next query starts with the next mode
 
     for q, rows in zip(queries, layout.accessed([q.ast for q in queries])):
         rows_routed[q.template] += int(rows)

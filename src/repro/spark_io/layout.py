@@ -2,16 +2,17 @@
 
 This is the paper's execution story (Sec 3.1, 3.3, 7.1) on Spark:
 
-* **Write**: the dataset gains a ``bid`` column — for qd-tree layouts this
-  is the tree's native Catalyst routing expression (one nested SQL ``CASE``;
-  no UDFs), for baseline layouts a precomputed assignment — and is written
-  ``repartition("bid")`` then ``partitionBy("bid")``, so each block is its
-  own Parquet directory holding exactly one file. Without the shuffle, each
-  write task opens a file in every ``bid=`` directory its rows reach, so a
-  block is split into as many files as input partitions hold its rows, and
-  writes and scans slow with the file count. The hash shuffle puts all of a
-  block's rows in one shuffle partition, and adaptive execution coalesces
-  only whole partitions, so this holds at any partition count.
+* **Write**: the dataset gains a ``bid`` column — for qd-tree layouts the
+  tree's numpy :meth:`~repro.core.qdtree.QdTree.route`, run by
+  ``mapInPandas`` on each Arrow batch where the data lives, for baseline
+  layouts a precomputed assignment — and is written ``repartition("bid")``
+  then ``partitionBy("bid")``, so each block is its own Parquet directory
+  holding exactly one file. Without the shuffle, each write task opens a
+  file in every ``bid=`` directory its rows reach, so a block is split into
+  as many files as input partitions hold its rows, and writes and scans
+  slow with the file count. The hash shuffle puts all of a block's rows in
+  one shuffle partition, and adaptive execution coalesces only whole
+  partitions, so this holds at any partition count.
 * **Open**: :func:`open_layout` reads each layout path once per
   ``SparkSession`` and hands the same DataFrame to every later query, so
   Parquet schema inference and the ``bid=`` listing run once, not per query.
@@ -28,8 +29,12 @@ import os
 
 import numpy as np
 import pandas as pd
+from pyspark import cloudpickle
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import LongType, StructField, StructType
+
+import repro
 
 from ..core.predicates import Node, to_sql
 from ..core.qdtree import Layout, QdTree
@@ -72,12 +77,25 @@ def spark_df_from_raw(
     return df
 
 
-def write_tree_layout(
-    raw_df: DataFrame, tree: QdTree, path: str
-) -> None:
-    """Route every row through the qd-tree (pure Catalyst expression) and
-    persist each block as one Parquet file in its ``bid=`` directory."""
-    _write_blocks(raw_df.withColumn("bid", tree.routing_column()), path)
+def write_tree_layout(raw_df: DataFrame, tree: QdTree, path: str) -> None:
+    """Route every row with ``tree.route``, on the executors, and persist
+    each block as one Parquet file in its ``bid=`` directory. A NULL date
+    or categorical value fails the rows' encoding."""
+    schema = StructType([*raw_df.schema.fields, StructField("bid", LongType(), False)])
+    _write_blocks(raw_df.mapInPandas(_add_bids(tree), schema), path)
+
+
+def _add_bids(tree: QdTree):
+    """``mapInPandas``' function: each batch with its rows' BIDs. ``repro``
+    is pickled by value with it, as Spark's Python workers may not import
+    it (a driver may have ``src/`` on its own ``sys.path`` alone)."""
+    cloudpickle.register_pickle_by_value(repro)
+
+    def add_bids(batches):
+        for pdf in batches:
+            yield pdf.assign(bid=tree.route(tree.schema.encode(pdf)))
+
+    return add_bids
 
 
 def write_bid_layout(

@@ -1,20 +1,45 @@
 """run_physical harness at tiny scale: modes agree, metrics populated."""
+import os
+
 import pytest
 
 from repro.baselines.simple import random_partition
 from repro.core.qdtree import block_stats
 from repro.experiments.physical import format_physical, run_physical
+from repro.spark_io.layout import read_routed
 from repro.workloads import asts
 
 
 @pytest.fixture(scope="module")
-def phys(spark, tpch_bundle, tpch_tree, tmp_path_factory):
+def phys_reads():
+    """The ``phys`` run's reads in order, each as (layout directory, routed)."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def phys(spark, tpch_bundle, tpch_tree, tmp_path_factory, phys_reads):
+    from repro.experiments import physical
+
+    def logged(spark, path, query, schema, tree=None):
+        phys_reads.append((os.path.basename(path), tree is not None))
+        return read_routed(spark, path, query, schema, tree=tree)
+
     queries = tpch_bundle.queries[:4]
     baseline = random_partition(len(tpch_bundle.raw), 2000, seed=0)
     workdir = str(tmp_path_factory.mktemp("phys_tiny"))
-    return run_physical(
-        spark, tpch_bundle, tpch_tree, baseline, workdir, queries=queries
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(physical, "read_routed", logged)
+        return run_physical(
+            spark, tpch_bundle, tpch_tree, baseline, workdir, queries=queries
+        )
+
+
+def test_modes_take_turns_going_first(phys, phys_reads):
+    """Each query runs every mode once, and the mode that runs first
+    rotates, so the session's first aggregate is not always a routed one."""
+    routed, noroute, baseline = ("qdtree", True), ("qdtree", False), ("baseline", False)
+    assert phys_reads == [routed, noroute, baseline, noroute, baseline, routed,
+                          baseline, routed, noroute, routed, noroute, baseline]
 
 
 def test_all_modes_timed(phys):
@@ -76,7 +101,6 @@ def test_run_physical_raises_when_routing_is_bypassed(
     """qd-tree mode checks each query's scan against query routing: a read
     that drops the BID filter scans every block, and the run raises."""
     from repro.experiments import physical
-    from repro.spark_io.layout import read_routed
 
     def unrouted(spark, path, query, schema, tree=None):
         return read_routed(spark, path, query, schema, tree=None)

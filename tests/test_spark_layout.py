@@ -1,6 +1,11 @@
-"""Spark physical layout: Catalyst routing parity, partition pruning, and
-DuckDB-oracle correctness of query results over qd-tree layouts."""
+"""Spark physical layout: written blocks equal numpy routing, partition
+pruning, and DuckDB-oracle correctness of query results over qd-tree
+layouts."""
 import functools
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import duckdb
@@ -8,6 +13,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 import pytest
+from pyspark import cloudpickle
 from pyspark.sql import functions as F
 
 from repro.baselines.simple import random_partition
@@ -20,6 +26,7 @@ from repro.core.schema import infer_schema
 from repro.experiments.physical import MODES
 from repro.oracle import assert_equivalent
 from repro.spark_io.layout import (
+    _add_bids,
     open_layout,
     read_routed,
     routed_condition,
@@ -66,11 +73,13 @@ def written_baseline_layout(spark, tpch_bundle, tpch_tree, layout_dir):
     return path
 
 
-def _spark_bids(spark, tree, raw, schema):
-    """BID per row of ``raw`` from the tree's Catalyst routing expression."""
+def _spark_bids(spark, tree, raw, schema, path):
+    """BID per row of ``raw`` in the layout ``write_tree_layout`` writes to
+    ``path``, read back from the written blocks."""
     raw_df = spark_df_from_raw(spark, raw.assign(_row=np.arange(len(raw))), schema)
+    write_tree_layout(raw_df, tree, path)
     return (
-        raw_df.withColumn("bid", tree.routing_column())
+        spark.read.parquet(path)
         .select("_row", "bid")
         .toPandas()
         .sort_values("_row")["bid"]
@@ -79,10 +88,9 @@ def _spark_bids(spark, tree, raw, schema):
 
 
 @pytest.mark.parametrize("name", ["tpch", "errlog_int", "errlog_ext"])
-def test_spark_routing_matches_pandas(spark, request, name):
-    """The Catalyst routing expression assigns the same BID as vectorised
-    pandas routing for every row, on all three test workloads (numeric,
-    date and categorical cuts)."""
+def test_spark_routing_matches_pandas(spark, request, layout_dir, name):
+    """Every row lands in the block that numpy routing on the driver gives
+    it, on all three test workloads (numeric, date and categorical cuts)."""
     bundle = request.getfixturevalue(f"{name}_bundle")
     if name == "tpch":
         tree = request.getfixturevalue("tpch_tree")
@@ -93,18 +101,39 @@ def test_spark_routing_matches_pandas(spark, request, name):
         assert tree.n_leaves > 1
     raw = bundle.raw.head(2000).copy()
     expected = tree.route(bundle.schema.encode(raw))
-    assert (_spark_bids(spark, tree, raw, bundle.schema) == expected).all()
+    path = f"{layout_dir}/{name}_routed"
+    assert (_spark_bids(spark, tree, raw, bundle.schema, path) == expected).all()
 
 
-def test_null_routes_right_under_negated_ac(spark):
+def test_null_routes_right_under_negated_ac(spark, layout_dir):
     """A NULL operand makes ``NOT(x < y)`` NULL, so numpy routing sends the
-    row right, as the Catalyst ``CASE`` does by its ``ELSE``."""
+    row right, and the written layout holds it there."""
     raw = pd.DataFrame({"x": [1.0, np.nan, 5.0, 2.0], "y": [2.0, 3.0, np.nan, 1.0]})
     sch = infer_schema(raw)
     tree = hand_tree(sch, [(0, AdvPred("xy", "x", "<", "y", negated=True))], ("xy",))
     bids = tree.route(sch.encode(raw))
     assert bids.tolist() == [1, 1, 1, 0]
-    assert (_spark_bids(spark, tree, raw, sch) == bids).all()
+    assert (_spark_bids(spark, tree, raw, sch, f"{layout_dir}/null_ac") == bids).all()
+
+
+def test_batch_router_needs_no_repro_on_the_worker(tpch_bundle, tpch_tree, tmp_path):
+    """``write_tree_layout``'s batch function, pickled as Spark pickles it,
+    routes a batch in a Python that cannot import ``repro``, as Spark's
+    Python workers may not: a driver may put ``src/`` on its own path alone."""
+    raw = tpch_bundle.raw.head(500)
+    worker = (
+        "import importlib.util, pickle, sys\n"
+        "assert importlib.util.find_spec('repro') is None\n"
+        "add_bids, raw = pickle.load(sys.stdin.buffer)\n"
+        "pickle.dump(list(add_bids(iter([raw]))), sys.stdout.buffer)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", worker], input=cloudpickle.dumps((_add_bids(tpch_tree), raw)),
+        capture_output=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": ""},
+    )
+    assert out.returncode == 0, out.stderr.decode()
+    [batch] = pickle.loads(out.stdout)
+    assert (batch["bid"].to_numpy() == tpch_tree.route(tpch_bundle.schema.encode(raw))).all()
 
 
 def _chain_tree(schema, cuts) -> QdTree:
@@ -113,26 +142,15 @@ def _chain_tree(schema, cuts) -> QdTree:
 
 
 def _deep_chain(raw, sch) -> QdTree:
-    """A chain of depth 201 on ``l_extendedprice`` quantiles of ``raw``."""
-    edges = np.quantile(raw["l_extendedprice"], np.linspace(0.0, 1.0, 200))
+    """A chain of depth 401 on ``l_extendedprice`` quantiles of ``raw``."""
+    edges = np.quantile(raw["l_extendedprice"], np.linspace(0.0, 1.0, 400))
     return _chain_tree(sch, [Pred("l_extendedprice", "<=", float(v)) for v in edges])
-
-
-def test_spark_routing_deep_chain(spark, tpch_bundle):
-    """A hand-built chain of depth 200 still parses and routes every row
-    to the BID numpy routing gives."""
-    raw, sch = tpch_bundle.raw.head(2000), tpch_bundle.schema
-    tree = _deep_chain(raw, sch)
-    assert tree.depth == 201
-    expected = tree.route(sch.encode(raw))
-    assert len(np.unique(expected)) > 100
-    assert (_spark_bids(spark, tree, raw, sch) == expected).all()
 
 
 def test_string_literals_mean_the_same_everywhere(spark, layout_dir):
     """Quotes and backslashes in categorical values: numpy, DuckDB (the
-    SQL text), Spark's routed read and Spark's routing expression select
-    the same rows, and Spark still pushes the value down to Parquet."""
+    SQL text), Spark's routed read and the written blocks select the same
+    rows, and Spark still pushes the value down to Parquet."""
     values = ["O'Brien", "a\\b", "a\\\\b'", "ab", "plain"]
     raw = pd.DataFrame({"name": [values[i % 5] for i in range(100)],
                         "x": np.arange(100.0)})
@@ -142,8 +160,7 @@ def test_string_literals_mean_the_same_everywhere(spark, layout_dir):
     tree = _chain_tree(sch, [Pred("name", "=", code["a\\b"]),
                              Pred("name", "in", [code["O'Brien"], code["ab"]])])
     path = f"{layout_dir}/names"
-    write_tree_layout(spark_df_from_raw(spark, raw, sch), tree, path)
-    assert (_spark_bids(spark, tree, raw, sch) == tree.route(enc)).all()
+    assert (_spark_bids(spark, tree, raw, sch, path) == tree.route(enc)).all()
     for q in [Pred("name", "=", code[v]) for v in values] + [
         Pred("name", "in", [code["a\\b"], code["a\\\\b'"]]),
         Pred("name", "in", [code["O'Brien"], code["plain"]]),
@@ -200,7 +217,8 @@ def test_layout_is_partitioned_by_bid(spark, written_tree_layout, tpch_tree):
 def test_one_parquet_file_per_block(request, spark, tpch_bundle, layout_dir, write):
     """Each writer leaves exactly one Parquet file in every ``bid=``
     directory, and the footers' row counts are the block sizes that numpy
-    routing (or the given BIDs) gives."""
+    routing (or the given BIDs) gives. The tree writer has no depth limit:
+    every row of a depth-401 chain lands in numpy routing's block."""
     raw, sch = tpch_bundle.raw, tpch_bundle.schema
     if write == "tree":
         path = request.getfixturevalue("written_tree_layout")
@@ -212,8 +230,10 @@ def test_one_parquet_file_per_block(request, spark, tpch_bundle, layout_dir, wri
     else:
         raw = raw.head(2000)
         tree, path = _deep_chain(raw, sch), f"{layout_dir}/deep_chain"
-        write_tree_layout(spark_df_from_raw(spark, raw, sch), tree, path)
+        assert tree.depth == 401
         bids = tree.route(sch.encode(raw))
+        assert len(np.unique(bids)) > 300
+        assert (_spark_bids(spark, tree, raw, sch, path) == bids).all()
     rows = {}
     for block in Path(path).glob("bid=*"):
         files = list(block.glob("*.parquet"))
