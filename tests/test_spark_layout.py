@@ -147,6 +147,24 @@ def _deep_chain(raw, sch) -> QdTree:
     return _chain_tree(sch, [Pred("l_extendedprice", "<=", float(v)) for v in edges])
 
 
+@pytest.fixture(scope="module")
+def deep_chain_layout(spark, tpch_bundle, layout_dir):
+    """A depth-401 chain written over 2000 TPC-H rows: the tree, the layout
+    path, numpy routing's BIDs and the BIDs read back per row."""
+    raw, sch = tpch_bundle.raw.head(2000), tpch_bundle.schema
+    tree, path = _deep_chain(raw, sch), f"{layout_dir}/deep_chain"
+    return tree, path, tree.route(sch.encode(raw)), _spark_bids(spark, tree, raw, sch, path)
+
+
+def test_spark_routing_deep_chain(deep_chain_layout):
+    """The tree writer has no depth limit: every row of a depth-401 chain
+    lands in the block numpy routing gives it."""
+    tree, _, expected, written = deep_chain_layout
+    assert tree.depth == 401
+    assert len(np.unique(expected)) > 300
+    assert (written == expected).all()
+
+
 def test_string_literals_mean_the_same_everywhere(spark, layout_dir):
     """Quotes and backslashes in categorical values: numpy, DuckDB (the
     SQL text), Spark's routed read and the written blocks select the same
@@ -217,8 +235,7 @@ def test_layout_is_partitioned_by_bid(spark, written_tree_layout, tpch_tree):
 def test_one_parquet_file_per_block(request, spark, tpch_bundle, layout_dir, write):
     """Each writer leaves exactly one Parquet file in every ``bid=``
     directory, and the footers' row counts are the block sizes that numpy
-    routing (or the given BIDs) gives. The tree writer has no depth limit:
-    every row of a depth-401 chain lands in numpy routing's block."""
+    routing (or the given BIDs) gives."""
     raw, sch = tpch_bundle.raw, tpch_bundle.schema
     if write == "tree":
         path = request.getfixturevalue("written_tree_layout")
@@ -228,12 +245,7 @@ def test_one_parquet_file_per_block(request, spark, tpch_bundle, layout_dir, wri
         bids = random_partition(len(raw), 500, seed=1)
         write_bid_layout(spark, raw, bids, sch, path)
     else:
-        raw = raw.head(2000)
-        tree, path = _deep_chain(raw, sch), f"{layout_dir}/deep_chain"
-        assert tree.depth == 401
-        bids = tree.route(sch.encode(raw))
-        assert len(np.unique(bids)) > 300
-        assert (_spark_bids(spark, tree, raw, sch, path) == bids).all()
+        _, path, bids, _ = request.getfixturevalue("deep_chain_layout")
     rows = {}
     for block in Path(path).glob("bid=*"):
         files = list(block.glob("*.parquet"))
