@@ -1,9 +1,12 @@
 """Workload generators: determinism, schema consistency, selectivity shape."""
+import hashlib
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core.predicates import eval_mask
+from repro.experiments.table2 import make_bundle
 from repro.workloads import asts, errorlog, tpch
 
 
@@ -173,3 +176,42 @@ def test_workload_sizes_configurable():
     raw2 = errorlog.errorlog_ext(n=1000)
     sch2 = errorlog.ext_schema()
     assert len(errorlog.ext_workload(raw2, sch2, n_queries=9)) == 9
+
+
+# ------------------------------------------------------------ data pin
+def _frame_sha(df: pd.DataFrame) -> str:
+    h = hashlib.sha1(pd.util.hash_pandas_object(df).to_numpy().tobytes())
+    h.update(repr(list(df.dtypes.astype(str).items())).encode())
+    return h.hexdigest()
+
+
+_DATA_PINNED = {  # (raw frame, encoded frame, repr of the queries)
+    ("tpch", 0): ("146fb86fe7b1f3c9f5d0a6e648e8c2c76d1e9f17",
+                  "decfa55fb91656d29209249fce44fd676f528302",
+                  "819c94a0fb765bcf2834ac03a557f87dcd34a28f"),
+    ("tpch", 1): ("cbfb9891012647f14cdc4b0ef2c36a6490f888a8",
+                  "f19f6ae705e336e2b00192517d687aaf4d1d1f0f",
+                  "9a91d2120de457a925ff75335a49a26769fec776"),
+    ("errlog-int", 0): ("c2a7b6a6b974e6749ac92f85a0235e5fe4c6950a",
+                        "3d1477d2c0425ac900008f1a4ae2aa277d47c9b6",
+                        "dbec266d590f9c19c1e7d958f0918b9317c4caec"),
+    ("errlog-int", 1): ("083fc0de257b6ab78815fcf0ce7e265d24021b42",
+                        "bb6e1fff4685b31014dbbf3454cdc8c1d9391592",
+                        "ebf50e8aecb6a631687f3d4ded3e598585a6a0a8"),
+    ("errlog-ext", 0): ("31e8017d6c8100952e56a59e6e68b75588570240",
+                        "10d8ed1ce87a880a9083c7b1991e747f3c89bba7",
+                        "c0a564c748dd780dcaec5c8127ee557f40b048a2"),
+    ("errlog-ext", 1): ("6ca9536b30e079a2b2808d5123a3d23f39f7d1a0",
+                        "d3cee45c94c8d8f80d1aa6923430445c8c0aad1d",
+                        "00a8b3addbdb247c5846aa7ed352f52eee65b56b"),
+}
+
+
+@pytest.mark.parametrize("name, seed", list(_DATA_PINNED))
+def test_generated_data_pinned(name, seed):
+    """The raw frame (values and dtypes), the encoded frame and the queries
+    of ``make_bundle`` at the test scales, at seed 0 and one other seed."""
+    size = {"n_seeds": 2} if name == "tpch" else {"n_queries": 25}
+    bd = make_bundle(name, scale=0.02, seed=seed, **size)
+    queries = hashlib.sha1(repr(bd.queries).encode()).hexdigest()
+    assert (_frame_sha(bd.raw), _frame_sha(bd.encoded), queries) == _DATA_PINNED[name, seed]
