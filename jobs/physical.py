@@ -10,6 +10,7 @@ Usage:
 """
 import argparse
 import tempfile
+import time
 
 from pyspark.sql import SparkSession
 
@@ -33,7 +34,12 @@ def main() -> None:
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .getOrCreate()
     )
+    t0 = time.perf_counter()
     bundle = make_bundle(args.workload, scale=args.scale)
+    print(
+        f"== {args.workload}: {len(bundle.encoded)} rows, "
+        f"generated in {time.perf_counter() - t0:.2f}s"
+    )
     rows = run_table2(
         bundle,
         approaches=("baseline", "woodblock"),

@@ -11,6 +11,7 @@ Usage:
                           [--scale 1.0] [--episodes 60]
 """
 import argparse
+import time
 
 from repro.core.woodblock import WoodblockConfig
 from repro.experiments.table2 import (
@@ -33,12 +34,13 @@ def main() -> None:
 
     results = {}
     for wl in args.workloads:
+        t0 = time.perf_counter()
         bundle = make_bundle(
             wl, scale=args.scale, n_seeds=args.n_seeds, n_queries=args.n_queries
         )
         print(
             f"== {wl}: {len(bundle.encoded)} rows, b={bundle.b}, "
-            f"{len(bundle.queries)} queries"
+            f"{len(bundle.queries)} queries, generated in {time.perf_counter() - t0:.2f}s"
         )
         rows = run_table2(
             bundle, woodblock_cfg=WoodblockConfig(episodes=args.episodes)

@@ -45,6 +45,11 @@ class ColumnSpec:
     name: str
     kind: str
     domain: tuple
+    codes: dict = field(init=False, repr=False, compare=False)  # raw value -> code
+
+    def __post_init__(self):
+        cat = self.kind == CATEGORICAL
+        object.__setattr__(self, "codes", {v: i for i, v in enumerate(self.domain)} if cat else {})
 
     @property
     def cardinality(self) -> int:
@@ -55,8 +60,8 @@ class ColumnSpec:
     def code_of(self, raw: Any) -> int:
         """Dictionary code of a raw categorical value."""
         try:
-            return self.domain.index(raw)
-        except ValueError:
+            return self.codes[raw]
+        except KeyError:
             raise KeyError(f"{raw!r} not in domain of {self.name}") from None
 
 
@@ -89,8 +94,7 @@ class TableSchema:
             if spec.kind == DATE:
                 out[name] = encode_dates(col)
             elif spec.kind == CATEGORICAL:
-                lookup = {v: i for i, v in enumerate(spec.domain)}
-                codes = col.map(lookup)
+                codes = col.map(spec.codes)
                 if codes.isna().any():
                     bad = col[codes.isna()].iloc[0]
                     raise KeyError(f"value {bad!r} outside domain of {name}")
@@ -126,8 +130,18 @@ class TableSchema:
 
 
 def encode_dates(col: pd.Series) -> pd.Series:
-    """Datetime series -> int64 days since epoch."""
-    return ((pd.to_datetime(col) - EPOCH) // pd.Timedelta(days=1)).astype(np.int64)
+    """Datetime series -> int64 days since epoch.
+
+    ``cache=False``: the cache probe walks the values one by one, which is
+    most of the cost on a datetime64 column.
+    """
+    days = (pd.to_datetime(col, cache=False) - EPOCH) // pd.Timedelta(days=1)
+    return days.astype(np.int64)
+
+
+def dates_of(days: np.ndarray) -> np.ndarray:
+    """Encoded days -> ``datetime64[ns]``, the inverse of :func:`encode_dates`."""
+    return np.datetime64(EPOCH, "ns") + days.astype("timedelta64[D]")
 
 
 def infer_schema(

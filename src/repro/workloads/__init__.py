@@ -7,6 +7,8 @@ predicate AST in encoded literal space).
 """
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.predicates import Node
 
 
@@ -21,3 +23,12 @@ class Query:
 def asts(queries) -> list:
     """The bare predicate ASTs of a query list (what the cost model eats)."""
     return [q.ast for q in queries]
+
+
+def take(values, idx: np.ndarray) -> np.ndarray:
+    """``values[idx]`` as an object array of the values themselves.
+
+    A frame holds string columns as objects: built from this array, it keeps
+    it, where a numpy ``<U`` array is copied into one new ``str`` per cell.
+    """
+    return np.array(values, dtype=object)[idx]

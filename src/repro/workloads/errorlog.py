@@ -28,8 +28,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.predicates import And, Pred
-from ..core.schema import EPOCH, ColumnSpec, TableSchema, day_number
-from . import Query
+from ..core.schema import ColumnSpec, TableSchema, dates_of, day_number
+from . import Query, take
 
 # =========================================================== ErrorLog-Int
 N_INT_DEFAULT = 300_000
@@ -43,6 +43,7 @@ _INT_VERSIONS = tuple(f"10.0.{19000 + 10 * i}" for i in range(40))
 _INT_COMPONENTS = tuple(f"comp_{i:02d}" for i in range(30))
 _INT_COUNTRIES = tuple(f"cc_{i:02d}" for i in range(20))
 _INT_SEVERITIES = ("critical", "error", "warning", "info", "debug")
+_BOOLS = ("false", "true")
 _INT_BUILD_BASE = day_number("2019-01-01")
 _INT_INGEST_BASE = day_number("2020-02-01")  # one-week ingest window
 
@@ -65,20 +66,21 @@ def errorlog_int(*, n: int = N_INT_DEFAULT, seed: int = 0) -> pd.DataFrame:
     ingest = _INT_INGEST_BASE + g.integers(0, 7, n)
     return pd.DataFrame(
         {
-            "event_type": np.array(_INT_EVENTS)[event],
-            "os_version": np.array(_INT_VERSIONS)[version],
-            "os_build_date": EPOCH + pd.to_timedelta(build, unit="D"),
-            "ingest_date": EPOCH + pd.to_timedelta(ingest, unit="D"),
-            "component": np.array(_INT_COMPONENTS)[component],
-            "country": np.array(_INT_COUNTRIES)[country],
-            "severity": np.array(_INT_SEVERITIES)[
-                np.minimum(event // 2, 3) + (g.random(n) < 0.1)
-            ],
-            "is_valid": np.where(g.random(n) < 0.9, "true", "false"),
+            "event_type": take(_INT_EVENTS, event),
+            "os_version": take(_INT_VERSIONS, version),
+            "os_build_date": dates_of(build),
+            "ingest_date": dates_of(ingest),
+            "component": take(_INT_COMPONENTS, component),
+            "country": take(_INT_COUNTRIES, country),
+            "severity": take(
+                _INT_SEVERITIES, np.minimum(event // 2, 3) + (g.random(n) < 0.1)
+            ),
+            "is_valid": take(_BOOLS, (g.random(n) < 0.9).astype(np.int64)),
             "error_code": (event * 1000 + g.integers(0, 400, n)).astype(np.int64),
             "mem_mb": g.integers(512, 65536, n).astype(np.int64),
             "duration_ms": (g.random(n) * 1e5).round(1),
-        }
+        },
+        copy=False,  # the arrays are fresh: keep each as its own block, uncopied
     )
 
 
@@ -101,7 +103,7 @@ def int_schema() -> TableSchema:
     cat("component", _INT_COMPONENTS)
     cat("country", _INT_COUNTRIES)
     cat("severity", _INT_SEVERITIES)
-    cat("is_valid", ("false", "true"))
+    cat("is_valid", _BOOLS)
     cols["error_code"] = ColumnSpec("error_code", NUMERIC, (0, 8400))
     cols["mem_mb"] = ColumnSpec("mem_mb", NUMERIC, (512, 65536))
     cols["duration_ms"] = ColumnSpec("duration_ms", NUMERIC, (0.0, 1e5))
@@ -120,28 +122,33 @@ def int_workload(
     g = np.random.default_rng(seed)
     out = []
     anchors = g.integers(0, len(raw), n_queries)
-    for qi in range(n_queries):
-        row = raw.iloc[int(anchors[qi])]
-        ev = sch["event_type"].code_of(row["event_type"])
+    for row in _encoded_rows(raw, sch, anchors):
+        ev = row["event_type"]
         extra_ev = int(g.integers(0, len(_INT_EVENTS)))
-        build = day_number(row["os_build_date"])
+        build = row["os_build_date"]
         preds = [
             Pred("event_type", "in", frozenset({ev, extra_ev})),
-            Pred("os_version", "=", sch["os_version"].code_of(row["os_version"])),
+            Pred("os_version", "=", row["os_version"]),
             Pred("os_build_date", ">=", build - int(g.integers(2, 10))),
             Pred("os_build_date", "<=", build),
-            Pred("component", "=", sch["component"].code_of(row["component"])),
+            Pred("component", "=", row["component"]),
             Pred("is_valid", "=", sch["is_valid"].code_of("true")),
         ]
         if g.random() < 0.5:
-            preds.append(Pred("country", "=", sch["country"].code_of(row["country"])))
+            preds.append(Pred("country", "=", row["country"]))
         out.append(Query("errlog_int", And(preds)))
     return out
+
+
+def _encoded_rows(raw: pd.DataFrame, sch: TableSchema, rows: np.ndarray) -> list[dict]:
+    """The encoded values of ``raw``'s anchor rows, as Python scalars."""
+    return sch.encode(raw.iloc[rows]).to_dict("records")
 
 
 # =========================================================== ErrorLog-Ext
 N_EXT_DEFAULT = 300_000
 N_APPS = 3600
+_EXT_APPS = tuple(f"app_{i:04d}" for i in range(N_APPS))
 _EXT_EVENTS = tuple(f"xevt_{i:02d}" for i in range(16))
 _EXT_VERSIONS = tuple(f"v{i}" for i in range(100))
 _EXT_OS = tuple(f"os_{i:02d}" for i in range(40))
@@ -170,21 +177,21 @@ def errorlog_ext(*, n: int = N_EXT_DEFAULT, seed: int = 1) -> pd.DataFrame:
     date = _EXT_BASE + g.integers(0, 15, n)
     return pd.DataFrame(
         {
-            "app_id": np.array([f"app_{i:04d}" for i in range(N_APPS)])[app],
-            "app_version": np.array(_EXT_VERSIONS)[version],
-            "os_version": np.array(_EXT_OS)[osv],
-            "event_type": np.array(_EXT_EVENTS)[event],
-            "country": np.array(_EXT_COUNTRIES)[country],
-            "event_date": EPOCH + pd.to_timedelta(date, unit="D"),
+            "app_id": take(_EXT_APPS, app),
+            "app_version": take(_EXT_VERSIONS, version),
+            "os_version": take(_EXT_OS, osv),
+            "event_type": take(_EXT_EVENTS, event),
+            "country": take(_EXT_COUNTRIES, country),
+            "event_date": dates_of(date),
             # external clients batch-upload with long, device-dependent lag,
             # so ingest order is ~independent of event time — which is why
             # the deployed range-on-ingest baseline cannot skip (Table 2)
-            "ingest_date": EPOCH
-            + pd.to_timedelta(_EXT_BASE + g.integers(0, 16, n), unit="D"),
+            "ingest_date": dates_of(_EXT_BASE + g.integers(0, 16, n)),
             "error_code": (event * 500 + g.integers(0, 500, n)).astype(np.int64),
             "session_min": (g.random(n) * 600).round(1),
-            "is_fatal": np.where(g.random(n) < 0.4, "true", "false"),
-        }
+            "is_fatal": take(_BOOLS, (g.random(n) < 0.4).astype(np.int64)),
+        },
+        copy=False,  # the arrays are fresh: keep each as its own block, uncopied
     )
 
 
@@ -196,14 +203,14 @@ def ext_schema() -> TableSchema:
     def cat(name, dom):
         cols[name] = ColumnSpec(name, CATEGORICAL, tuple(dom))
 
-    cat("app_id", tuple(f"app_{i:04d}" for i in range(N_APPS)))
+    cat("app_id", _EXT_APPS)
     cat("app_version", _EXT_VERSIONS)
     cat("os_version", _EXT_OS)
     cat("event_type", _EXT_EVENTS)
     cat("country", _EXT_COUNTRIES)
     cols["event_date"] = ColumnSpec("event_date", DATE, (_EXT_BASE, _EXT_BASE + 14))
     cols["ingest_date"] = ColumnSpec("ingest_date", DATE, (_EXT_BASE, _EXT_BASE + 15))
-    cat("is_fatal", ("false", "true"))
+    cat("is_fatal", _BOOLS)
     cols["error_code"] = ColumnSpec("error_code", NUMERIC, (0, 8000))
     cols["session_min"] = ColumnSpec("session_min", NUMERIC, (0.0, 600.0))
     return TableSchema(cols)
@@ -216,12 +223,11 @@ def ext_workload(
     g = np.random.default_rng(seed)
     out = []
     anchors = g.integers(0, len(raw), n_queries)
-    for qi in range(n_queries):
-        row = raw.iloc[int(anchors[qi])]
-        a = sch["app_id"].code_of(row["app_id"])
+    for row in _encoded_rows(raw, sch, anchors):
+        a = row["app_id"]
         apps = frozenset({a} | {int(x) for x in g.integers(0, N_APPS, g.integers(0, 3))})
-        ev = sch["event_type"].code_of(row["event_type"])
-        d = day_number(row["event_date"])
+        ev = row["event_type"]
+        d = row["event_date"]
         preds = [
             Pred("app_id", "in", apps),
             Pred("event_type", "in", frozenset({ev, (ev + 1) % len(_EXT_EVENTS)})),
@@ -229,8 +235,6 @@ def ext_workload(
             Pred("event_date", "<=", d),
         ]
         if g.random() < 0.5:
-            preds.append(
-                Pred("os_version", "=", sch["os_version"].code_of(row["os_version"]))
-            )
+            preds.append(Pred("os_version", "=", row["os_version"]))
         out.append(Query("errlog_ext", And(preds)))
     return out

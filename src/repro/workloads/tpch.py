@@ -27,8 +27,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.predicates import AdvPred, And, Or, Pred
-from ..core.schema import ColumnSpec, TableSchema, day_number
-from . import Query
+from ..core.schema import ColumnSpec, TableSchema, dates_of, day_number
+from . import Query, take
 
 N_PER_SF = 6_000_000
 
@@ -51,7 +51,7 @@ AC1 = AdvPred("ac1_ship_lt_commit", "l_shipdate", "<", "l_commitdate")
 AC2 = AdvPred("ac2_commit_lt_receipt", "l_commitdate", "<", "l_receiptdate")
 AC_MAP = {AC0.name: AC0, AC1.name: AC1, AC2.name: AC2}
 
-_START = pd.Timestamp("1992-01-01")
+_START = day_number("1992-01-01")
 _N_DAYS = 2406  # o_orderdate span, as in dbgen
 
 
@@ -59,38 +59,41 @@ def denormalized(*, sf: float = 0.01, seed: int = 0) -> pd.DataFrame:
     """Raw (un-encoded) denormalised fact table at scale factor ``sf``."""
     n = max(1, int(N_PER_SF * sf))
     g = np.random.default_rng(seed)
-    o_orderdate = _START + pd.to_timedelta(g.integers(0, _N_DAYS, n), unit="D")
+
+    def pick(values, p=None):  # draws as g.choice(values, n, p=p) does
+        return take(values, g.choice(len(values), n, p=p))
+
+    o_orderdate = _START + g.integers(0, _N_DAYS, n)
     ship_lag = g.integers(1, 122, n)
     commit_lag = g.integers(30, 91, n)
     receipt_lag = g.integers(1, 31, n)
     s_nationkey = g.integers(0, 25, n)
-    pdf = pd.DataFrame(
+    return pd.DataFrame(
         {
             "l_orderkey": g.integers(1, max(2, n // 4), n),
             "l_quantity": g.integers(1, 51, n).astype("float64"),
             "l_extendedprice": (g.random(n) * 90000 + 900).round(2),
             "l_discount": (g.integers(0, 11, n) / 100.0),
-            "l_returnflag": g.choice(list("NRA"), n, p=[0.5, 0.25, 0.25]),
-            "l_linestatus": g.choice(list("OF"), n),
-            "l_shipmode": g.choice(SHIPMODES, n),
-            "o_orderdate": o_orderdate,
-            "l_shipdate": o_orderdate + pd.to_timedelta(ship_lag, unit="D"),
-            "l_commitdate": o_orderdate + pd.to_timedelta(commit_lag, unit="D"),
-            "l_receiptdate": o_orderdate
-            + pd.to_timedelta(ship_lag + receipt_lag, unit="D"),
+            "l_returnflag": pick(tuple("NRA"), p=[0.5, 0.25, 0.25]),
+            "l_linestatus": pick(tuple("OF")),
+            "l_shipmode": pick(SHIPMODES),
+            "o_orderdate": dates_of(o_orderdate),
+            "l_shipdate": dates_of(o_orderdate + ship_lag),
+            "l_commitdate": dates_of(o_orderdate + commit_lag),
+            "l_receiptdate": dates_of(o_orderdate + ship_lag + receipt_lag),
             "o_totalprice": (g.random(n) * 500000 + 1000).round(2),
-            "o_orderpriority": g.choice(PRIORITIES, n),
-            "c_mktsegment": g.choice(SEGMENTS, n),
+            "o_orderpriority": pick(PRIORITIES),
+            "c_mktsegment": pick(SEGMENTS),
             "c_nationkey": g.integers(0, 25, n),
             "s_nationkey": s_nationkey,
-            "r_name": np.array(REGIONS)[s_nationkey // 5],
-            "p_brand": g.choice(BRANDS, n),
-            "p_type": g.choice(TYPES, n),
-            "p_container": g.choice(CONTAINERS, n),
+            "r_name": take(REGIONS, s_nationkey // 5),
+            "p_brand": pick(BRANDS),
+            "p_type": pick(TYPES),
+            "p_container": pick(CONTAINERS),
             "p_size": g.integers(1, 51, n),
-        }
+        },
+        copy=False,  # the arrays are fresh: keep each as its own block, uncopied
     )
-    return pdf
 
 
 def schema() -> TableSchema:

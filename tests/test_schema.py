@@ -1,4 +1,6 @@
 """Schema + dictionary-encoding unit tests."""
+import datetime as dt
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -122,9 +124,35 @@ def test_contains_and_getitem(pdf):
     assert sch["x"].name == "x"
 
 
-def test_encode_dates_function():
-    s = pd.Series(pd.to_datetime(["1970-01-01", "1970-01-11"]))
-    assert encode_dates(s).tolist() == [0, 10]
+@pytest.mark.parametrize(
+    "s, days",
+    [
+        (pd.Series(pd.to_datetime(["1970-01-01", "1970-01-11"])), [0, 10]),
+        # what Arrow hands a mapInPandas batch for a date column
+        (pd.Series([dt.date(1970, 1, 1), dt.date(1970, 1, 11)]), [0, 10]),
+        (pd.Series([dt.date(1969, 12, 31), dt.date(1950, 1, 1)]), [-1, -7305]),
+        (pd.Series(pd.to_datetime(["1969-12-31", "1950-01-01"])), [-1, -7305]),
+    ],
+    ids=["datetime64", "date_objects", "pre_1970_dates", "pre_1970_datetime64"],
+)
+def test_encode_dates_function(s, days):
+    enc = encode_dates(s)
+    assert enc.dtype == np.int64
+    assert enc.tolist() == days
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        pd.Series(pd.to_datetime(["1970-01-01", None])),
+        pd.Series([dt.date(1970, 1, 1), None]),
+        pd.Series([dt.date(1970, 1, 1), pd.NaT], dtype=object),
+    ],
+    ids=["datetime64_nat", "date_none", "date_nat"],
+)
+def test_encode_dates_rejects_missing(s):
+    with pytest.raises(pd.errors.IntCastingNaNError):
+        encode_dates(s)
 
 
 def test_encode_restricts_to_schema_columns(pdf):
